@@ -11,12 +11,10 @@ from .frame_optimizer import (
     FramePlan,
     next_frame_length,
     optimal_frame_length,
-    verify_stationarity,
 )
 from .harness import (
     AggregateMetrics,
     ExperimentSpec,
-    analyze_curves,
     emit_results,
     run_experiment,
 )
@@ -24,9 +22,7 @@ from .prob_model import (
     Load,
     MprOrder,
     SlotProbabilities,
-    binomial_occupancy,
     channel_efficiency,
-    expected_success_slots,
     slot_probabilities,
 )
 from .protocol import (
@@ -51,11 +47,8 @@ __all__ = [
     "ProtocolConfig",
     "SlotProbabilities",
     "Variant",
-    "analyze_curves",
-    "binomial_occupancy",
     "channel_efficiency",
     "emit_results",
-    "expected_success_slots",
     "log_posterior",
     "map_estimate",
     "next_frame_length",
@@ -65,5 +58,4 @@ __all__ = [
     "run_frame",
     "run_interrogation",
     "slot_probabilities",
-    "verify_stationarity",
 ]

@@ -21,7 +21,6 @@ from .estimator import (
 )
 from .harness import (
     ExperimentSpec,
-    analyze_curves,
     efficiency_curve,
     emit_results,
     optimal_length_table,

@@ -2,21 +2,26 @@
 
 Given the counts of empty (E), successful (S) and collided (C) slots in an
 L-slot frame, the posterior over the population size k is a trinomial in the
-per-slot outcome probabilities:
+per-slot outcome probabilities of X ~ Poisson(x), x = k/L:
 
-    P(k | E,S,C)  prop.  (e^-x)^E * (e^-x (T_M(x)-1))^S * (e^-x (e^x - T_M(x)))^C
+    log P(k | E,S,C) = E log P(X=0) + S log P(1<=X<=M) + C log P(X>M) + const
 
-with x = k/L and T_M the order-M Taylor polynomial of e^x. The leading
-multinomial coefficient does not depend on k, so it is dropped; the argmax is
-unchanged. All evaluation is in log domain (the linear form underflows for
-L = 128), and e^x - T_M(x) is computed from the series tail for small x to
-dodge cancellation.
+The leading multinomial coefficient does not depend on k, so it is dropped;
+the argmax is unchanged. The three log-probabilities come from
+``prob_model.log_slot_probabilities``, the one kernel behind every slot
+probability in the package: a log-sum-exp for the successful class, and for
+the collided class a tail series below x = M+1 and a log-complement above
+it. Nothing in it cancels or overflows, for any M.
 
-The integer argmax is found by an ascending scan from the smallest population
-consistent with the observation, stopping once the posterior has fallen below
-the running maximum for a fixed window of consecutive candidates (the
-posterior is unimodal in every regime exercised by the tests, which guard the
-scan against a brute-force oracle).
+Candidates run from the smallest population consistent with the observation,
+k_min (the decoded tags plus M+1 per collided slot), to the cap
+k_max = 10 * L * M. An all-collided frame (C = L) has a likelihood
+P(X>M)^L that rises strictly in k, so no finite mode exists; its estimate is
+k_max itself, with no scan. Any other frame is scanned upward from k_min,
+stopping once the posterior has fallen below the running maximum for a fixed
+window of consecutive candidates (the posterior is unimodal in every regime
+exercised by the tests, which guard the scan against a brute-force oracle
+over the whole range [0, k_max]).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .prob_model import MprOrder
+from .prob_model import MprOrder, log_slot_probabilities
 
 #: candidates the posterior must stay below the running max before the scan stops
 DEFAULT_STOP_WINDOW = 50
@@ -74,40 +79,14 @@ class MapEstimate:
     log_posterior_at_mode: float
 
 
-def _taylor_minus_one(x: np.ndarray, M: int) -> np.ndarray:
-    """T_M(x) - 1 = sum_{j=1..M} x^j/j!, vectorized, no cancellation."""
-    term = np.ones_like(x)
-    total = np.zeros_like(x)
-    for j in range(1, M + 1):
-        term = term * x / j
-        total = total + term
-    return total
-
-
-def _exp_tail(x: np.ndarray, M: int) -> np.ndarray:
-    """e^x - T_M(x), via the series tail for x < 1 where subtraction cancels."""
-    direct = np.exp(x) - 1.0 - _taylor_minus_one(x, M)
-    term = x ** (M + 1) / math.factorial(M + 1)
-    series = term.copy()
-    for j in range(M + 2, M + 40):
-        term = term * x / j
-        series = series + term
-    return np.where(x < 1.0, series, direct)
-
-
 def _log_posterior_array(ks: np.ndarray, obs: FrameObservation, M: int) -> np.ndarray:
-    ks = np.asarray(ks, dtype=float)
-    x = ks / obs.L
-    # the three e^-x factors combine to e^-(E+S+C)x = e^-k
-    out = -ks
+    log_e, log_s, log_c = log_slot_probabilities(np.asarray(ks) / obs.L, M)
+    # a class with no slots contributes nothing, even where its probability is 0
+    out = obs.E * log_e
     if obs.S > 0:
-        s_arg = _taylor_minus_one(x, M)
-        ok = s_arg > 0.0
-        out = out + np.where(ok, obs.S * np.log(np.where(ok, s_arg, 1.0)), -np.inf)
+        out = out + obs.S * log_s
     if obs.C > 0:
-        c_arg = _exp_tail(x, M)
-        ok = c_arg > 0.0
-        out = out + np.where(ok, obs.C * np.log(np.where(ok, c_arg, 1.0)), -np.inf)
+        out = out + obs.C * log_c
     return out
 
 
@@ -123,22 +102,23 @@ def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
     return max(obs.identified, obs.S) + (mpr.M + 1) * obs.C
 
 
-def map_estimate(
-    obs: FrameObservation, mpr: MprOrder, stop_window: int = DEFAULT_STOP_WINDOW
-) -> MapEstimate:
-    """Integer argmax of the posterior, by bounded ascending scan.
+def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
+    """Integer argmax of the posterior over [k_min, 10*L*M].
 
-    Scans k upward from the consistency lower bound; stops after the
-    posterior has been strictly below the running maximum for
-    ``stop_window`` consecutive candidates, or at a hard cap. Ties break
-    toward the smaller k.
+    An all-collided frame has a posterior rising strictly in k, so its
+    argmax is the cap itself. Otherwise k is scanned upward from the
+    consistency lower bound until the posterior has been strictly below the
+    running maximum for DEFAULT_STOP_WINDOW consecutive candidates, or the
+    cap is reached. Ties break toward the smaller k.
     """
     if obs.identified > obs.S * mpr.M:
         raise ValueError(
             f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {mpr.M}"
         )
     k_min = search_lower_bound(obs, mpr)
-    k_max = max(10 * obs.L * mpr.M, k_min + 1000)
+    k_max = 10 * obs.L * mpr.M
+    if obs.C == obs.L:
+        return MapEstimate(k_max, k_min, k_max, log_posterior(k_max, obs, mpr))
 
     best_k = k_min
     best_val = -math.inf
@@ -154,7 +134,7 @@ def map_estimate(
                 below = 0
             elif v < best_val:
                 below += 1
-                if below >= stop_window:
+                if below >= DEFAULT_STOP_WINDOW:
                     return MapEstimate(int(best_k), k_min, k_max, best_val)
             else:
                 below = 0

@@ -33,7 +33,7 @@ def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     """
     if n < 0:
         raise ValueError(f"tag count must be >= 0, got {n}")
-    raw = n / math.factorial(mpr.M) ** (1.0 / mpr.M)
+    raw = n * math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
     return FramePlan(length=max(1, _round_half_up(raw)), raw_optimum=raw)
 
 
@@ -52,20 +52,3 @@ def next_frame_length(
         remaining = (mpr.M + 1) * collisions
     return optimal_frame_length(remaining, mpr)
 
-
-def verify_stationarity(n: int, mpr: MprOrder) -> float:
-    """Residual of the efficiency derivative at the claimed optimum (test hook).
-
-    Evaluates sum_m rho^m/m! * (rho - m) * exp(-rho)/L at L = n/(M!)^(1/M);
-    an exact optimum gives 0 up to rounding.
-    """
-    if n < 1:
-        raise ValueError(f"tag count must be >= 1, got {n}")
-    L = n / math.factorial(mpr.M) ** (1.0 / mpr.M)
-    rho = n / L
-    term = 1.0
-    total = 0.0
-    for m in range(1, mpr.M + 1):
-        term *= rho / m
-        total += term * (rho - m)
-    return total * math.exp(-rho) / L

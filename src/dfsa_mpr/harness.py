@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimator import map_estimate
 from .frame_optimizer import optimal_frame_length
-from .prob_model import Load, MprOrder, channel_efficiency
+from .prob_model import Load, MprOrder, channel_efficiency, log_slot_probabilities
 from .protocol import ProtocolConfig, Variant, run_interrogation
 
 CSV_COLUMNS = [
@@ -242,23 +242,14 @@ def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
 
 def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) -> str:
     """CSV of channel efficiency versus integer frame length, for one (n, M)."""
+    if n < 0:
+        raise ValueError(f"tag count must be >= 0, got {n}")
     if max_length is None:
         max_length = max(4 * n, 1)
+    lengths = np.arange(1, max_length + 1)
+    _, log_s, _ = log_slot_probabilities(n / lengths, mpr.M)
     lines = ["L,efficiency"]
-    for length in range(1, max_length + 1):
-        eff = channel_efficiency(Load(n=n, L=length), mpr)
+    for length, eff in zip(lengths.tolist(), np.exp(log_s).tolist()):
         lines.append(f"{length},{eff:.6g}")
     return "\n".join(lines) + "\n"
 
-
-def analyze_curves(
-    tag_counts: list[int], mpr_orders: list[int], path: str = ""
-) -> str:
-    """Write the closed-form L*(n, M) table (plot data backing the simulations)."""
-    if not tag_counts:
-        raise ValueError("tag_counts must be non-empty")
-    text = optimal_length_table(tag_counts, mpr_orders)
-    if path:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-    return text

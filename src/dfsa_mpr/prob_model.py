@@ -3,12 +3,18 @@
 Closed forms (Poisson approximation) for the probability that a slot of an
 L-slot frame is empty, successful, or collided when n tags each pick one slot
 uniformly at random and the reader can decode up to M simultaneous replies.
+All three come from one vectorized log-domain kernel,
+``log_slot_probabilities``, which the estimator evaluates over whole ranges
+of candidate populations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True)
@@ -50,35 +56,78 @@ class SlotProbabilities:
     p_c: float
 
 
-def truncated_exp_sum(x: float, M: int) -> float:
-    """x/1! + x^2/2! + ... + x^M/M! (Taylor sum of e^x without the j=0 term)."""
-    term = 1.0
-    total = 0.0
-    for j in range(1, M + 1):
-        term *= x / j
-        total += term
-    return total
+#: the collision-tail series stops once a term falls below this fraction of
+#: its first term (for M up to 10^6 the remainder is then under 2^-53 of the sum)
+_TAIL_TOLERANCE = 2.0 ** -60
+
+#: (M + 1) x candidates per block. The successful term holds M rows per
+#: candidate and the tail series O((M + 1)^(1/2)), so memory stays small for any M
+_BLOCK_ENTRIES = 2 ** 13
+
+#: shift for an all -inf column (x = 0), so that it sums to -inf, not nan
+_FLOAT_MIN = np.finfo(float).min
 
 
-def binomial_occupancy(j: int, load: Load) -> float:
-    """Probability that exactly j of the n tags land in a given slot.
+def _log_collided_series(x: np.ndarray, log_x: np.ndarray, M: int) -> np.ndarray:
+    """log P(X > M) for x < M+1: x^(M+1)/(M+1)! (1 + x/(M+2) + ...) e^-x.
 
-    Evaluated in log domain so binomial coefficients stay finite for n up
-    to ~1e6.
+    With u = x/(M+1) < 1 the bracket is sum_i d_i u^i, where
+    d_i = prod_{l=1..i} (M+1)/(M+1+l) is its value at x = M+1: every d_i
+    lies in (0, 1], so nothing cancels, overflows or underflows. Terms are
+    taken until one falls below _TAIL_TOLERANCE at the largest x.
     """
-    n, L = load.n, load.L
-    if j < 0 or j > n:
-        raise ValueError(f"occupancy {j} outside [0, {n}]")
-    if L == 1:
-        return 1.0 if j == n else 0.0
-    log_p = (
-        math.lgamma(n + 1)
-        - math.lgamma(j + 1)
-        - math.lgamma(n - j + 1)
-        - j * math.log(L)
-        + (n - j) * math.log1p(-1.0 / L)
-    )
-    return math.exp(log_p)
+    x_max = float(x.max())
+    weights, weight, term = [], 1.0, 1.0
+    while term > _TAIL_TOLERANCE:
+        j = M + 2 + len(weights)
+        weight *= (M + 1) / j
+        term *= x_max / j
+        weights.append(weight)
+    powers = np.arange(1.0, len(weights) + 1)[:, None] * np.log(x / (M + 1))
+    series = (np.exp(powers) * np.array(weights)[:, None]).sum(axis=0)
+    return (M + 1) * log_x - math.lgamma(M + 2) + np.log1p(series) - x
+
+
+def _log_slot_block(x: np.ndarray, log_factorials: np.ndarray, out: np.ndarray) -> None:
+    """Fill the rows of ``out`` with log p_e, log p_s, log p_c at loads ``x``."""
+    M = log_factorials.size
+    log_e, log_s, log_c = out
+    np.negative(x, out=log_e)
+    log_x = np.log(x)
+    terms = np.arange(1, M + 1)[:, None] * log_x - log_factorials[:, None]
+    shift = np.maximum(terms.max(axis=0), _FLOAT_MIN)
+    log_s[:] = log_e + shift + np.log(np.exp(terms - shift).sum(axis=0))
+    low = x < M + 1
+    if low.any():
+        log_c[low] = _log_collided_series(x[low], log_x[low], M)
+    high = ~low
+    if high.any():
+        # at x >= M+1 the Poisson median (>= x - ln 2) exceeds M, so
+        # P(X <= M) < 1/2 and log1p(-P) is the accurate form of log(1 - P)
+        log_c[high] = np.log1p(-np.exp(np.logaddexp(log_e[high], log_s[high])))
+
+
+def log_slot_probabilities(
+    x: ArrayLike, M: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log p_e, log p_s, log p_c) of a slot at Poisson load x, elementwise.
+
+    With X ~ Poisson(x): empty is X = 0, successful is 1 <= X <= M, collided
+    is X > M. The successful term is a log-sum-exp of j log x - log j! over
+    j = 1..M. The collided term is the tail series where x < M+1, and
+    log(1 - P(X <= M)) above that. Every term stays finite for any M;
+    x = 0 gives (0, -inf, -inf).
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    log_factorials = np.array([math.lgamma(j + 1) for j in range(1, M + 1)])
+    out = np.empty((3, flat.size))
+    block = max(1, _BLOCK_ENTRIES // (M + 1))
+    with np.errstate(divide="ignore"):
+        for start in range(0, flat.size, block):
+            stop = start + block
+            _log_slot_block(flat[start:stop], log_factorials, out[:, start:stop])
+    return tuple(row.reshape(x.shape) for row in out)
 
 
 def slot_probabilities(load: Load, mpr: MprOrder) -> SlotProbabilities:
@@ -86,19 +135,8 @@ def slot_probabilities(load: Load, mpr: MprOrder) -> SlotProbabilities:
 
     A slot is successful when 1..M tags pick it, collided when more than M do.
     """
-    if load.n == 0:
-        return SlotProbabilities(1.0, 0.0, 0.0)
-    rho = load.rho
-    p_e = math.exp(-rho)
-    p_s = p_e * truncated_exp_sum(rho, mpr.M)
-    # subtraction residue near rho -> 0 can dip slightly negative
-    p_c = min(1.0, max(0.0, 1.0 - p_e - p_s))
-    return SlotProbabilities(p_e, p_s, p_c)
-
-
-def expected_success_slots(load: Load, mpr: MprOrder) -> float:
-    """Expected number of successful slots in the frame, L * p_s."""
-    return load.L * slot_probabilities(load, mpr).p_s
+    p_e, p_s, p_c = np.exp(log_slot_probabilities(load.rho, mpr.M))
+    return SlotProbabilities(float(p_e), float(p_s), float(p_c))
 
 
 def channel_efficiency(load: Load, mpr: MprOrder) -> float:

@@ -16,12 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimator import (
-    DEFAULT_STOP_WINDOW,
-    FrameObservation,
-    MapEstimate,
-    map_estimate,
-)
+from .estimator import FrameObservation, MapEstimate, map_estimate
 from .frame_optimizer import next_frame_length
 from .prob_model import MprOrder
 
@@ -44,7 +39,6 @@ class ProtocolConfig:
     mpr: MprOrder
     initial_frame_length: int
     variant: Variant = Variant.DFSA
-    stop_window: int = DEFAULT_STOP_WINDOW
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -113,7 +107,7 @@ def run_interrogation(
 
         estimate: Optional[MapEstimate] = None
         if config.variant is Variant.DFSA and obs.C > 0:
-            estimate = map_estimate(obs, config.mpr, stop_window=config.stop_window)
+            estimate = map_estimate(obs, config.mpr)
 
         frames.append(
             FrameRecord(

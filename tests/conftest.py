@@ -1,10 +1,50 @@
-"""Shared brute-force oracles for the estimator tests.
+"""Shared oracles for the tests.
 
 Deliberately independent of the library's evaluation path: scalar math,
-direct formula, full trinomial including the multinomial coefficient.
+direct formulas, the exact binomial occupancy and the full trinomial
+including the multinomial coefficient.
 """
 
 import math
+
+
+def binomial_occupancy(j, load):
+    """Probability that exactly j of the n tags land in a given slot.
+
+    Evaluated in log domain so binomial coefficients stay finite for n up
+    to ~1e6.
+    """
+    n, L = load.n, load.L
+    if j < 0 or j > n:
+        raise ValueError(f"occupancy {j} outside [0, {n}]")
+    if L == 1:
+        return 1.0 if j == n else 0.0
+    log_p = (
+        math.lgamma(n + 1)
+        - math.lgamma(j + 1)
+        - math.lgamma(n - j + 1)
+        - j * math.log(L)
+        + (n - j) * math.log1p(-1.0 / L)
+    )
+    return math.exp(log_p)
+
+
+def verify_stationarity(n, mpr):
+    """Residual of the efficiency derivative at the claimed optimum.
+
+    Evaluates sum_m rho^m/m! * (rho - m) * exp(-rho)/L at L = n/(M!)^(1/M);
+    an exact optimum gives 0 up to rounding.
+    """
+    if n < 1:
+        raise ValueError(f"tag count must be >= 1, got {n}")
+    L = n / math.factorial(mpr.M) ** (1.0 / mpr.M)
+    rho = n / L
+    term = 1.0
+    total = 0.0
+    for m in range(1, mpr.M + 1):
+        term *= rho / m
+        total += term * (rho - m)
+    return total * math.exp(-rho) / L
 
 
 def trinomial_log_posterior(k, L, E, S, C, M, include_constant=True):

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_map
+from conftest import brute_force_map, verify_stationarity
 from dfsa_mpr.estimator import FrameObservation, map_estimate
-from dfsa_mpr.frame_optimizer import optimal_frame_length, verify_stationarity
+from dfsa_mpr.frame_optimizer import optimal_frame_length
 from dfsa_mpr.harness import ExperimentSpec, emit_results, run_experiment
 from dfsa_mpr.prob_model import (
     Load,
@@ -152,8 +152,7 @@ def test_criterion_6_estimator_matches_brute_force():
     # Every (E, S, C) partition of a 10-slot frame. The all-collided frame
     # is degenerate: its posterior increases without bound in k (more tags
     # only make total collision more likely), so no finite argmax exists and
-    # the capped brute force just returns its own scan limit; for that cell
-    # the documented behavior is the bounded-search consistency floor.
+    # the documented behavior is the search cap, 10 * L * M.
     L = 10
     checked = 0
     mismatches = []
@@ -164,8 +163,8 @@ def test_criterion_6_estimator_matches_brute_force():
                 obs = FrameObservation(L=L, E=E, S=S, C=C, identified=S)
                 n_hat = map_estimate(obs, MprOrder(M)).n_hat
                 if C == L:
-                    if n_hat < (M + 1) * C:
-                        mismatches.append((E, S, C, M, n_hat, "floor"))
+                    if n_hat != 10 * L * M:
+                        mismatches.append((E, S, C, M, n_hat, "cap"))
                 else:
                     oracle = brute_force_map(L, E, S, C, M, k_max=500)
                     if n_hat != oracle:

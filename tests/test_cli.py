@@ -43,6 +43,13 @@ def test_estimate_curve_output(tmp_path, capsys):
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("M", ["170", "400"])
+def test_estimate_large_mpr_order(M, capsys):
+    code = main(["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", M])
+    assert code == 0
+    assert int(capsys.readouterr().out) > 3 + (int(M) + 1) * 6
+
+
 def test_estimate_invalid_tallies_exit_1(capsys):
     code = main(["estimate", "--L", "10", "--E", "9", "--S", "3", "--C", "6", "--M", "1"])
     assert code == 1
@@ -62,6 +69,15 @@ def test_analyze_optimal_length(tmp_path, capsys):
     assert code == 0
     rows = {int(r["M"]): int(r["length"]) for r in csv.DictReader(out.open())}
     assert rows == {1: 100, 2: 71, 4: 45}
+
+
+def test_analyze_large_mpr_order(capsys):
+    code = main(["analyze", "--optimal-length", "--tag-counts", "100,1000",
+                 "--mpr-orders", "171,400"])
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [int(r["length"]) for r in rows] == [2, 1, 16, 7]
+    assert all(0.0 <= float(r["efficiency"]) <= 1.0 for r in rows)
 
 
 def test_analyze_efficiency_curve_stdout(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_map, trinomial_log_posterior
 from dfsa_mpr.estimator import (
@@ -124,6 +126,24 @@ class TestMapEstimate:
             assert est.n_hat >= identified + (M + 1) * C
             assert est.k_min <= est.n_hat <= est.k_max
 
+    @pytest.mark.parametrize("L", [1, 2, 10, 128, 2000])
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_all_collided_frame_returns_the_cap(self, L, M):
+        # P(X > M)^L rises strictly in k, so the argmax is the cap itself
+        obs = FrameObservation(L=L, E=0, S=0, C=L, identified=0)
+        est = map_estimate(obs, MprOrder(M))
+        assert est.n_hat == est.k_max == 10 * L * M
+        assert est.log_posterior_at_mode == log_posterior(est.k_max, obs, MprOrder(M))
+        assert log_posterior(est.k_max - 1, obs, MprOrder(M)) < est.log_posterior_at_mode
+
+    @pytest.mark.parametrize("M", [170, 171, 400])
+    def test_large_mpr_order_finds_a_finite_mode(self, M):
+        est = map_estimate(EXAMPLE, MprOrder(M))
+        assert est.k_min < est.n_hat < est.k_max
+        assert math.isfinite(est.log_posterior_at_mode)
+        for k in (est.n_hat - 1, est.n_hat + 1):
+            assert log_posterior(k, EXAMPLE, MprOrder(M)) < est.log_posterior_at_mode
+
     def test_monotone_response_to_collisions(self):
         # moving mass from empty to collided slots never lowers the estimate
         prev = -1
@@ -132,6 +152,24 @@ class TestMapEstimate:
             n_hat = map_estimate(obs, MprOrder(2)).n_hat
             assert n_hat >= prev
             prev = n_hat
+
+
+@st.composite
+def frames_with_a_free_slot(draw):
+    """(L, E, S, C, M) with L in [1, 64], M in [1, 8] and at least one slot not collided."""
+    L = draw(st.integers(1, 64))
+    C = draw(st.integers(0, L - 1))
+    S = draw(st.integers(0, L - C))
+    return L, L - S - C, S, C, draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(frames_with_a_free_slot())
+def test_map_estimate_equals_brute_force_over_the_whole_cap(frame):
+    L, E, S, C, M = frame
+    est = map_estimate(FrameObservation(L=L, E=E, S=S, C=C, identified=S), MprOrder(M))
+    assert est.k_max == 10 * L * M
+    assert est.n_hat == brute_force_map(L, E, S, C, M, k_max=est.k_max)
 
 
 class TestPosteriorCurve:

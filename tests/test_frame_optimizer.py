@@ -2,11 +2,8 @@ import math
 
 import pytest
 
-from dfsa_mpr.frame_optimizer import (
-    next_frame_length,
-    optimal_frame_length,
-    verify_stationarity,
-)
+from conftest import verify_stationarity
+from dfsa_mpr.frame_optimizer import next_frame_length, optimal_frame_length
 from dfsa_mpr.prob_model import Load, MprOrder, channel_efficiency
 
 

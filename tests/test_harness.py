@@ -7,7 +7,6 @@ import pytest
 from dfsa_mpr.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
-    analyze_curves,
     efficiency_curve,
     emit_results,
     optimal_length_table,
@@ -162,9 +161,3 @@ class TestAnalysisTables:
         rows = {int(r["L"]): float(r["efficiency"]) for r in csv.DictReader(text.splitlines())}
         assert rows[100] == pytest.approx(math.exp(-1), rel=1e-5)
 
-    def test_analyze_curves_writes_file(self, tmp_path):
-        out = tmp_path / "lstar.csv"
-        text = analyze_curves([100, 200], [1, 2, 4], path=str(out))
-        assert out.read_text() == text
-        with pytest.raises(ValueError):
-            analyze_curves([], [1])

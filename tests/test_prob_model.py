@@ -1,14 +1,16 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import binomial_occupancy
 from dfsa_mpr.prob_model import (
     Load,
     MprOrder,
-    binomial_occupancy,
     channel_efficiency,
-    expected_success_slots,
+    log_slot_probabilities,
     slot_probabilities,
 )
 
@@ -97,20 +99,72 @@ class TestSlotProbabilities:
 
 
 def test_expected_success_slots_zero_load():
-    assert expected_success_slots(Load(n=0, L=40), MprOrder(2)) == 0.0
+    assert 40 * channel_efficiency(Load(n=0, L=40), MprOrder(2)) == 0.0
 
 
 def test_expected_success_slots_unit_load():
-    assert expected_success_slots(Load(n=77, L=77), MprOrder(1)) == pytest.approx(
+    assert 77 * channel_efficiency(Load(n=77, L=77), MprOrder(1)) == pytest.approx(
         77 * math.exp(-1), rel=1e-14
     )
 
 
 def test_expected_success_slots_frozen_value():
     # mpmath (40 dps): 45 * e^(-100/45) * sum_{j=1..4} (100/45)^j / j!
-    assert expected_success_slots(Load(n=100, L=45), MprOrder(4)) == pytest.approx(
+    assert 45 * channel_efficiency(Load(n=100, L=45), MprOrder(4)) == pytest.approx(
         36.7519720272886007, rel=1e-14
     )
+
+
+def decimal_log_slot_probabilities(x, M, digits=80):
+    """(log p_e, log p_s, log p_c) at Poisson load x, in `digits`-digit decimal.
+
+    The collision tail is summed term by term until a term falls below
+    10^-(digits - 10) of the running sum, so no complement is ever taken.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = Decimal(x)
+        p_e = (-x).exp()
+        term, success = Decimal(1), Decimal(0)
+        for j in range(1, M + 1):
+            term = term * x / j
+            success += term
+        tail, j = Decimal(0), M + 1
+        while True:
+            term = term * x / j
+            tail += term
+            if term <= tail * Decimal(10) ** (10 - digits):
+                break
+            j += 1
+        return tuple(float(p.ln()) for p in (p_e, p_e * success, p_e * tail))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6, 7, 8, 50, 170, 171, 400])
+def test_kernel_matches_decimal_reference(M):
+    # loads on both sides of the series/complement switch at x = M+1
+    xs = [f * (M + 1) for f in (0.01, 0.1, 0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0, 4.0)]
+    xs += [0.3, 1.0, 2.5]
+    got = np.array(log_slot_probabilities(np.array(xs), M))
+    for i, x in enumerate(xs):
+        want = decimal_log_slot_probabilities(x, M)
+        # an absolute error of d in log p is a relative error of about d in p
+        assert np.abs(got[:, i] - want).max() <= 1e-12, x
+
+
+def test_kernel_zero_load():
+    log_e, log_s, log_c = log_slot_probabilities(np.zeros(3), 4)
+    assert log_e.tolist() == [0.0] * 3
+    assert log_s.tolist() == log_c.tolist() == [-math.inf] * 3
+
+
+@pytest.mark.parametrize("M", [170, 171, 200, 400])
+@pytest.mark.parametrize("n,L", [(1000, 1), (1, 1000), (400, 2), (5000, 7)])
+def test_large_mpr_order_stays_finite(n, L, M):
+    probs = slot_probabilities(Load(n=n, L=L), MprOrder(M))
+    values = (probs.p_e, probs.p_s, probs.p_c)
+    assert not any(math.isnan(p) for p in values)
+    assert all(0.0 <= p <= 1.0 for p in values)
+    assert sum(values) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_channel_efficiency_matches_aloha_bound():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dfsa_mpr.protocol as protocol
-from dfsa_mpr.prob_model import Load, MprOrder, binomial_occupancy
+from conftest import binomial_occupancy
+from dfsa_mpr.prob_model import Load, MprOrder
 from dfsa_mpr.protocol import (
     NonTerminationError,
     ProtocolConfig,
