@@ -177,6 +177,12 @@ def _cmd_estimate(args) -> int:
     # a collision-free frame identifies every transmitting tag exactly
     n_hat = identified if obs.C == 0 else estimate.n_hat
     print(n_hat)
+    if estimate.saturated:
+        print(
+            f"dfsa-mpr: note: the estimate is the search cap k_max = 10*L*M = {estimate.k_max};"
+            " the frame is consistent with any larger population",
+            file=sys.stderr,
+        )
     if args.curve_out:
         k_min = search_lower_bound(obs, mpr)
         k_max = args.curve_k_max

@@ -17,27 +17,61 @@ Candidates run from the smallest population consistent with the observation,
 k_min (the decoded tags plus M+1 per collided slot), to the cap
 k_max = 10 * L * M. An all-collided frame (C = L) has a likelihood
 P(X>M)^L that rises strictly in k, so no finite mode exists; its estimate is
-k_max itself, with no scan. Any other frame is scanned upward from k_min,
-stopping once the posterior has fallen below the running maximum for a fixed
-window of consecutive candidates (the posterior is unimodal in every regime
-exercised by the tests, which guard the scan against a brute-force oracle
-over the whole range [0, k_max]).
+k_max itself, and ``MapEstimate.saturated`` says so.
+
+Any other frame is searched by windows, which is exact because the log
+posterior is concave in k. This is proved, term by term in x = k/L (the map
+k -> x is linear):
+
+- E log P(X=0) = -E x is linear.
+- log P(X>M) is the log of the Gamma(M+1, 1) distribution function at x
+  (the (M+1)-th arrival of a unit-rate Poisson process comes before x). The
+  Gamma density is log-concave, and so is its distribution function.
+- log P(1<=X<=M) = -x + log g(x), g(x) = sum_{j=1..M} x^j/j!. Collecting
+  powers, 2 (g g'' - g'^2) = sum_s x^(s-2)/s! sum_i C(s,i) ((2i-s)^2 - s),
+  the inner sum over 1 <= i, s-i <= M. Over all of i = 0..s it is zero (a
+  Binomial(s, 1/2) has variance s/4). The kept i form a band |2i-s| <= b
+  about s/2, and a term is negative exactly when |2i-s| < sqrt(s): if
+  b < sqrt(s) every kept term is <= 0, and otherwise every dropped term is
+  positive, so the kept terms sum to minus a positive number. Either way
+  g g'' <= g'^2, so log g is concave.
+
+A test also checks the computed posterior's second differences in k, over
+L in [1, 2048] and M in [1, 8], since the search sees rounded values.
+
+The search evaluates a window of 64 candidates in one kernel call and takes
+its first argmax, so ties go to the smaller k. An argmax with a candidate
+after it in the window is final: a concave sequence that has stopped rising
+never rises again. An argmax on the window's last candidate restarts the
+window there, 4 times wider, until the window reaches k_max.
+
+The search starts at k_min. What it finds is memoized per process in a
+bounded ``functools.lru_cache`` keyed on (L, E, S, C, M): ``identified``
+does not enter the posterior, so frames that differ only there share one
+entry. The entry holds the first argmax m over [S + (M+1) C, k_max] once a
+search has found it above its start, and otherwise the bound that m is at
+most that start. By concavity the estimate for any k_min is max(m, k_min),
+so a later frame searches again only when its k_min lies below a bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .prob_model import MprOrder, log_slot_probabilities
 
-#: candidates the posterior must stay below the running max before the scan stops
-DEFAULT_STOP_WINDOW = 50
+#: candidates in the first window of the mode search, and the factor by
+#: which each later window is wider
+_FIRST_WINDOW = 64
+_WINDOW_GROWTH = 4
 
-_SCAN_CHUNK = 256
+#: (L, E, S, C, M) keys whose posterior mode a process remembers
+_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -78,15 +112,21 @@ class MapEstimate:
     k_max: int
     log_posterior_at_mode: float
 
+    @property
+    def saturated(self) -> bool:
+        """True when the estimate is the search cap itself: the frame is
+        consistent with any larger population (every all-collided frame)."""
+        return self.n_hat == self.k_max
 
-def _log_posterior_array(ks: np.ndarray, obs: FrameObservation, M: int) -> np.ndarray:
-    log_e, log_s, log_c = log_slot_probabilities(np.asarray(ks) / obs.L, M)
+
+def _log_posterior_array(ks: np.ndarray, L: int, E: int, S: int, C: int, M: int) -> np.ndarray:
+    log_e, log_s, log_c = log_slot_probabilities(ks / L, M)
     # a class with no slots contributes nothing, even where its probability is 0
-    out = obs.E * log_e
-    if obs.S > 0:
-        out = out + obs.S * log_s
-    if obs.C > 0:
-        out = out + obs.C * log_c
+    out = E * log_e
+    if S > 0:
+        out = out + S * log_s
+    if C > 0:
+        out = out + C * log_c
     return out
 
 
@@ -94,7 +134,7 @@ def log_posterior(k: int, obs: FrameObservation, mpr: MprOrder) -> float:
     """Log of the (coefficient-free) posterior at population k; -inf where impossible."""
     if k < 0:
         raise ValueError(f"candidate population must be >= 0, got {k}")
-    return float(_log_posterior_array(np.array([k]), obs, mpr.M)[0])
+    return float(_log_posterior_array(np.array([k]), obs.L, obs.E, obs.S, obs.C, mpr.M)[0])
 
 
 def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
@@ -102,14 +142,74 @@ def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
     return max(obs.identified, obs.S) + (mpr.M + 1) * obs.C
 
 
-def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
-    """Integer argmax of the posterior over [k_min, 10*L*M].
+def _first_argmax_of_concave(
+    evaluate: Callable[[np.ndarray], np.ndarray], lo: int, hi: int
+) -> tuple[int, float]:
+    """First argmax, and its value, over [lo, hi] of a function concave on the integers.
 
-    An all-collided frame has a posterior rising strictly in k, so its
-    argmax is the cap itself. Otherwise k is scanned upward from the
-    consistency lower bound until the posterior has been strictly below the
-    running maximum for DEFAULT_STOP_WINDOW consecutive candidates, or the
-    cap is reached. Ties break toward the smaller k.
+    ``evaluate`` maps an array of candidates to their values; it is called
+    once per window (see the module docstring).
+    """
+    width = _FIRST_WINDOW
+    while True:
+        ks = np.arange(lo, min(lo + width, hi + 1))
+        values = evaluate(ks)
+        i = int(values.argmax())
+        if i < ks.size - 1 or lo + i == hi:
+            return lo + i, float(values[i])
+        lo, width = lo + i, width * _WINDOW_GROWTH
+
+
+class _ModeRecord:
+    """What the searches so far have shown of one posterior's first argmax m
+    over [S + (M+1) C, 10 L M], the range that leaves ``identified`` out.
+
+    ``known`` is None before the first search, else (k, value at k, exact):
+    m = k when exact, and only m <= k otherwise. By concavity the first
+    argmax over [k_min, k_max] is max(m, k_min), so one record serves every
+    k_min. It is replaced whole, never edited, so a reader sees one state.
+    """
+
+    __slots__ = ("key", "known")
+
+    def __init__(self, L: int, E: int, S: int, C: int, M: int) -> None:
+        self.key = (L, E, S, C, M)
+        self.known: Optional[tuple[int, float, bool]] = None
+        if C == L:
+            # P(X > M)^L rises strictly in k: the argmax is the cap itself
+            k_max = 10 * L * M
+            self.known = (k_max, self._value_at(k_max), True)
+
+    def _evaluate(self, ks: np.ndarray) -> np.ndarray:
+        return _log_posterior_array(ks, *self.key)
+
+    def _value_at(self, k: int) -> float:
+        return float(self._evaluate(np.array([k]))[0])
+
+    def argmax_from(self, k_min: int, k_max: int) -> tuple[int, float]:
+        """First argmax, and its value, over [k_min, k_max]."""
+        known = self.known
+        if known is None or (k_min < known[0] and not known[2]):
+            hi = k_max if known is None else known[0]
+            k, value = _first_argmax_of_concave(self._evaluate, k_min, hi)
+            known = self.known = (k, value, k > k_min)
+        k, value, _ = known
+        if k >= k_min:
+            return k, value
+        return k_min, self._value_at(k_min)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _mode_record(L: int, E: int, S: int, C: int, M: int) -> _ModeRecord:
+    return _ModeRecord(L, E, S, C, M)
+
+
+def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
+    """Integer argmax of the posterior over [k_min, 10*L*M]; ties go to the smaller k.
+
+    An all-collided frame gives the cap itself, and the estimate is
+    ``saturated``. What a search finds is kept per process, keyed on
+    (L, E, S, C, M), and answers later frames with the same tallies.
     """
     if obs.identified > obs.S * mpr.M:
         raise ValueError(
@@ -117,29 +217,9 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
         )
     k_min = search_lower_bound(obs, mpr)
     k_max = 10 * obs.L * mpr.M
-    if obs.C == obs.L:
-        return MapEstimate(k_max, k_min, k_max, log_posterior(k_max, obs, mpr))
-
-    best_k = k_min
-    best_val = -math.inf
-    below = 0
-    k = k_min
-    while k <= k_max:
-        ks = np.arange(k, min(k + _SCAN_CHUNK, k_max + 1))
-        vals = _log_posterior_array(ks, obs, mpr.M)
-        for kk, v in zip(ks.tolist(), vals.tolist()):
-            if v > best_val:
-                best_val = v
-                best_k = kk
-                below = 0
-            elif v < best_val:
-                below += 1
-                if below >= DEFAULT_STOP_WINDOW:
-                    return MapEstimate(int(best_k), k_min, k_max, best_val)
-            else:
-                below = 0
-        k += _SCAN_CHUNK
-    return MapEstimate(int(best_k), k_min, k_max, best_val)
+    record = _mode_record(obs.L, obs.E, obs.S, obs.C, mpr.M)
+    n_hat, value = record.argmax_from(k_min, k_max)
+    return MapEstimate(n_hat, k_min, k_max, value)
 
 
 def posterior_curve(
@@ -155,7 +235,7 @@ def posterior_curve(
         raise ValueError("k_range must be non-empty")
     if np.any(ks < 0):
         raise ValueError("candidate populations must be >= 0")
-    logp = _log_posterior_array(ks, obs, mpr.M)
+    logp = _log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M)
     peak = float(np.max(logp))
     if peak == -math.inf:
         raise ValueError("posterior vanishes on the whole range")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimator import map_estimate
 from .frame_optimizer import optimal_frame_length
-from .prob_model import Load, MprOrder, channel_efficiency, log_slot_probabilities
+from .prob_model import MprOrder, log_slot_probabilities
 from .protocol import ProtocolConfig, Variant, run_interrogation
 
 CSV_COLUMNS = [
@@ -230,12 +230,17 @@ def emit_results(
 
 def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
     """CSV table of the optimal frame length and its efficiency over an (n, M) grid."""
+    columns = []
+    for m in mpr_orders:
+        mpr = MprOrder(m)
+        plans = [optimal_frame_length(n, mpr) for n in tag_counts]
+        loads = [n / plan.length for n, plan in zip(tag_counts, plans)]
+        _, log_s, _ = log_slot_probabilities(loads, m)
+        columns.append(list(zip(plans, np.exp(log_s).tolist())))
     lines = ["n,M,raw_optimum,length,efficiency"]
-    for n in tag_counts:
-        for m in mpr_orders:
-            mpr = MprOrder(m)
-            plan = optimal_frame_length(n, mpr)
-            eff = channel_efficiency(Load(n=n, L=plan.length), mpr)
+    for i, n in enumerate(tag_counts):
+        for m, column in zip(mpr_orders, columns):
+            plan, eff = column[i]
             lines.append(f"{n},{m},{plan.raw_optimum:.6g},{plan.length},{eff:.6g}")
     return "\n".join(lines) + "\n"
 

@@ -70,10 +70,10 @@ def trinomial_log_posterior(k, L, E, S, C, M, include_constant=True):
     return log_p
 
 
-def brute_force_map(L, E, S, C, M, k_max=500, include_constant=True):
-    """Exhaustive argmax over k in [0, k_max], first maximum wins."""
-    best_k, best_v = 0, -math.inf
-    for k in range(k_max + 1):
+def brute_force_map(L, E, S, C, M, k_max=500, include_constant=True, k_min=0):
+    """Exhaustive argmax over k in [k_min, k_max], first maximum wins."""
+    best_k, best_v = k_min, -math.inf
+    for k in range(k_min, k_max + 1):
         v = trinomial_log_posterior(k, L, E, S, C, M, include_constant)
         if v > best_v:
             best_k, best_v = k, v

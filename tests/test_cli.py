@@ -17,7 +17,18 @@ def test_parse_int_list_forms():
 def test_estimate_prints_map_peak(capsys):
     code = main(["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", "1"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "21"
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "21"
+    assert captured.err == ""
+
+
+def test_estimate_notes_a_saturated_estimate_on_stderr(capsys):
+    code = main(["estimate", "--L", "4", "--E", "0", "--S", "0", "--C", "4", "--M", "2"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == "80\n"
+    assert len(captured.err.splitlines()) == 1
+    assert "k_max = 10*L*M = 80" in captured.err
 
 
 def test_estimate_prefers_exact_count_without_collisions(capsys):

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from conftest import brute_force_map, trinomial_log_posterior
 from dfsa_mpr.estimator import (
     FrameObservation,
+    _first_argmax_of_concave,
+    _log_posterior_array,
+    _mode_record,
     log_posterior,
     map_estimate,
     posterior_curve,
@@ -133,6 +136,7 @@ class TestMapEstimate:
         obs = FrameObservation(L=L, E=0, S=0, C=L, identified=0)
         est = map_estimate(obs, MprOrder(M))
         assert est.n_hat == est.k_max == 10 * L * M
+        assert est.saturated
         assert est.log_posterior_at_mode == log_posterior(est.k_max, obs, MprOrder(M))
         assert log_posterior(est.k_max - 1, obs, MprOrder(M)) < est.log_posterior_at_mode
 
@@ -156,20 +160,121 @@ class TestMapEstimate:
 
 @st.composite
 def frames_with_a_free_slot(draw):
-    """(L, E, S, C, M) with L in [1, 64], M in [1, 8] and at least one slot not collided."""
+    """(L, E, S, C, identified, M): L in [1, 64], M in [1, 8], a slot not collided."""
     L = draw(st.integers(1, 64))
     C = draw(st.integers(0, L - 1))
     S = draw(st.integers(0, L - C))
-    return L, L - S - C, S, C, draw(st.integers(1, 8))
+    M = draw(st.integers(1, 8))
+    return L, L - S - C, S, C, draw(st.integers(S, S * M)), M
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(frames_with_a_free_slot())
 def test_map_estimate_equals_brute_force_over_the_whole_cap(frame):
-    L, E, S, C, M = frame
-    est = map_estimate(FrameObservation(L=L, E=E, S=S, C=C, identified=S), MprOrder(M))
+    L, E, S, C, identified, M = frame
+    est = map_estimate(FrameObservation(L, E, S, C, identified), MprOrder(M))
     assert est.k_max == 10 * L * M
+    assert est.n_hat == brute_force_map(L, E, S, C, M, k_max=est.k_max, k_min=est.k_min)
+
+
+@pytest.mark.parametrize(
+    "L, E, S, C, M",
+    [(32, 3, 0, 29, 2), (64, 19, 28, 17, 8), (48, 0, 8, 40, 8), (64, 2, 0, 62, 8), (64, 0, 1, 63, 8)],
+)
+def test_modes_beyond_the_first_window_match_brute_force(L, E, S, C, M):
+    # the mode lies 70 to 496 candidates above k_min, so the window must grow
+    est = map_estimate(FrameObservation(L, E, S, C, S), MprOrder(M))
+    assert est.n_hat - est.k_min > 64
     assert est.n_hat == brute_force_map(L, E, S, C, M, k_max=est.k_max)
+
+
+@st.composite
+def frames_and_windows(draw):
+    """A frame with L in [1, 2048] and M in [1, 8], and a start k in [1, 10 L M]."""
+    L = draw(st.integers(1, 2048))
+    C = draw(st.integers(0, L))
+    S = draw(st.integers(0, L - C))
+    M = draw(st.integers(1, 8))
+    return L, L - S - C, S, C, M, draw(st.integers(1, 10 * L * M))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(frames_and_windows())
+def test_log_posterior_is_concave_in_k(frame):
+    # the window search is exact only for a concave posterior; this checks
+    # the rounded values it sees, over 64 consecutive candidates from k
+    L, E, S, C, M, k = frame
+    values = _log_posterior_array(np.arange(k, k + 64), L, E, S, C, M)
+    second = values[2:] - 2 * values[1:-1] + values[:-2]
+    scale = np.maximum(np.abs(values[2:]), np.maximum(np.abs(values[1:-1]), np.abs(values[:-2])))
+    assert np.all(second <= 1e-12 * scale)
+
+
+class TestWindowSearch:
+    def test_tie_across_the_first_window_edge_returns_the_smaller_k(self):
+        # candidates lo+63 (last of the first window) and lo+64 tie at the top
+        lo, calls = 10, []
+
+        def evaluate(ks):
+            calls.append(ks.size)
+            return -np.abs(ks - (lo + 63.5))
+
+        assert _first_argmax_of_concave(evaluate, lo, 10**6) == (lo + 63, -0.5)
+        assert calls == [64, 256]
+
+    def test_plateau_returns_its_first_candidate(self):
+        assert _first_argmax_of_concave(lambda ks: np.zeros(ks.size), 5, 10**6) == (5, 0.0)
+
+    def test_rising_function_stops_at_the_upper_end(self):
+        assert _first_argmax_of_concave(lambda ks: ks.astype(float), 0, 1000) == (1000, 1000.0)
+
+
+class TestMemo:
+    OBS = FrameObservation(L=64, E=19, S=28, C=17, identified=40)
+
+    def test_bounded(self):
+        assert 0 < _mode_record.cache_info().maxsize < 10**6
+
+    def test_repeated_key_is_a_hit(self):
+        _mode_record.cache_clear()
+        first = map_estimate(self.OBS, MprOrder(3))
+        assert map_estimate(self.OBS, MprOrder(3)) == first
+        info = _mode_record.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_identified_is_not_part_of_the_key(self):
+        # the mode is 130: k_min = 152 first leaves only a bound, k_min = 96
+        # then finds the mode, and k_min = 118 and 152 are answered from it
+        _mode_record.cache_clear()
+        estimates = [
+            map_estimate(FrameObservation(64, 19, 28, 17, identified), MprOrder(3))
+            for identified in (84, 28, 50, 84)
+        ]
+        info = _mode_record.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+        assert [est.n_hat for est in estimates] == [152, 130, 130, 152]
+        for est in estimates:
+            assert est.n_hat == brute_force_map(64, 19, 28, 17, 3, k_max=est.k_max, k_min=est.k_min)
+            assert est.log_posterior_at_mode == log_posterior(
+                est.n_hat, FrameObservation(64, 19, 28, 17, 28), MprOrder(3)
+            )
+
+    def test_cold_cache_equals_warm_cache(self):
+        rng = np.random.default_rng(11)
+        frames = []
+        for _ in range(40):
+            L = int(rng.integers(1, 200))
+            C = int(rng.integers(0, L + 1))
+            S = int(rng.integers(0, L - C + 1))
+            M = int(rng.integers(1, 6))
+            identified = int(rng.integers(S, S * M + 1))
+            frames.append((FrameObservation(L, L - S - C, S, C, identified), MprOrder(M)))
+        cold = []
+        for obs, mpr in frames:
+            _mode_record.cache_clear()
+            cold.append(map_estimate(obs, mpr))
+        warm = [map_estimate(obs, mpr) for obs, mpr in frames * 2]
+        assert warm == cold * 2
 
 
 class TestPosteriorCurve:

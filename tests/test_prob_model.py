@@ -157,6 +157,22 @@ def test_kernel_zero_load():
     assert log_s.tolist() == log_c.tolist() == [-math.inf] * 3
 
 
+@pytest.mark.parametrize("M", [1, 2, 4, 8, 50])
+def test_kernel_value_depends_on_its_own_load_only(M):
+    # loads on both sides of M+1, more of them than one block holds
+    rng = np.random.default_rng(M)
+    x = rng.uniform(0.0, 3.0 * (M + 1), size=2000)
+    whole = np.array(log_slot_probabilities(x, M))
+    for i in range(0, x.size, 37):
+        alone = np.array(log_slot_probabilities(x[i], M))
+        assert np.array_equal(alone, whole[:, i])
+        pair = np.array(log_slot_probabilities([x[i], 3.0 * (M + 1)], M))
+        assert np.array_equal(pair[:, 0], whole[:, i])
+    for start, stop in [(1, 64), (5, 300), (999, 2000)]:
+        part = np.array(log_slot_probabilities(x[start:stop], M))
+        assert np.array_equal(part, whole[:, start:stop])
+
+
 @pytest.mark.parametrize("M", [170, 171, 200, 400])
 @pytest.mark.parametrize("n,L", [(1000, 1), (1, 1000), (400, 2), (5000, 7)])
 def test_large_mpr_order_stays_finite(n, L, M):
