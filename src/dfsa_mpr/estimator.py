@@ -39,19 +39,16 @@ k -> x is linear):
 A test also checks the computed posterior's second differences in k, over
 L in [1, 2048] and M in [1, 8], since the search sees rounded values.
 
-The search evaluates a window of 64 candidates in one kernel call and takes
-its first argmax, so ties go to the smaller k. An argmax with a candidate
-after it in the window is final: a concave sequence that has stopped rising
-never rises again. An argmax on the window's last candidate restarts the
-window there, 4 times wider, until the window reaches k_max.
+The search evaluates a window of 64 candidates from k_min in one kernel
+call and takes its first argmax, so ties go to the smaller k. An argmax
+with a candidate after it in the window is final: a concave sequence that
+has stopped rising never rises again. An argmax on the window's last
+candidate restarts the window there, 4 times wider, until the window
+reaches k_max.
 
-The search starts at k_min. What it finds is memoized per process in a
-bounded ``functools.lru_cache`` keyed on (L, E, S, C, M): ``identified``
-does not enter the posterior, so frames that differ only there share one
-entry. The entry holds the first argmax m over [S + (M+1) C, k_max] once a
-search has found it above its start, and otherwise the bound that m is at
-most that start. By concavity the estimate for any k_min is max(m, k_min),
-so a later frame searches again only when its k_min lies below a bound.
+The search result is memoized per process in a bounded
+``functools.lru_cache`` keyed on (L, E, S, C, M, k_min); ``identified``
+enters the key only through k_min.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -70,7 +67,7 @@ from .prob_model import MprOrder, log_slot_probabilities
 _FIRST_WINDOW = 64
 _WINDOW_GROWTH = 4
 
-#: (L, E, S, C, M) keys whose posterior mode a process remembers
+#: (L, E, S, C, M, k_min) keys whose posterior mode a process remembers
 _MEMO_SIZE = 4096
 
 
@@ -160,56 +157,21 @@ def _first_argmax_of_concave(
         lo, width = lo + i, width * _WINDOW_GROWTH
 
 
-class _ModeRecord:
-    """What the searches so far have shown of one posterior's first argmax m
-    over [S + (M+1) C, 10 L M], the range that leaves ``identified`` out.
-
-    ``known`` is None before the first search, else (k, value at k, exact):
-    m = k when exact, and only m <= k otherwise. By concavity the first
-    argmax over [k_min, k_max] is max(m, k_min), so one record serves every
-    k_min. It is replaced whole, never edited, so a reader sees one state.
-    """
-
-    __slots__ = ("key", "known")
-
-    def __init__(self, L: int, E: int, S: int, C: int, M: int) -> None:
-        self.key = (L, E, S, C, M)
-        self.known: Optional[tuple[int, float, bool]] = None
-        if C == L:
-            # P(X > M)^L rises strictly in k: the argmax is the cap itself
-            k_max = 10 * L * M
-            self.known = (k_max, self._value_at(k_max), True)
-
-    def _evaluate(self, ks: np.ndarray) -> np.ndarray:
-        return _log_posterior_array(ks, *self.key)
-
-    def _value_at(self, k: int) -> float:
-        return float(self._evaluate(np.array([k]))[0])
-
-    def argmax_from(self, k_min: int, k_max: int) -> tuple[int, float]:
-        """First argmax, and its value, over [k_min, k_max]."""
-        known = self.known
-        if known is None or (k_min < known[0] and not known[2]):
-            hi = k_max if known is None else known[0]
-            k, value = _first_argmax_of_concave(self._evaluate, k_min, hi)
-            known = self.known = (k, value, k > k_min)
-        k, value, _ = known
-        if k >= k_min:
-            return k, value
-        return k_min, self._value_at(k_min)
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _mode_record(L: int, E: int, S: int, C: int, M: int) -> _ModeRecord:
-    return _ModeRecord(L, E, S, C, M)
+def _posterior_mode(L: int, E: int, S: int, C: int, M: int, k_min: int) -> tuple[int, float]:
+    """First argmax over [k_min, 10 L M], and its value, memoized per process."""
+    k_max = 10 * L * M
+    # P(X > M)^L rises strictly in k when every slot collided: the argmax is the cap
+    lo = k_max if C == L else k_min
+    return _first_argmax_of_concave(lambda ks: _log_posterior_array(ks, L, E, S, C, M), lo, k_max)
 
 
 def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     """Integer argmax of the posterior over [k_min, 10*L*M]; ties go to the smaller k.
 
     An all-collided frame gives the cap itself, and the estimate is
-    ``saturated``. What a search finds is kept per process, keyed on
-    (L, E, S, C, M), and answers later frames with the same tallies.
+    ``saturated``. Results are memoized per process, keyed on the tallies,
+    M and k_min.
     """
     if obs.identified > obs.S * mpr.M:
         raise ValueError(
@@ -217,8 +179,7 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
         )
     k_min = search_lower_bound(obs, mpr)
     k_max = 10 * obs.L * mpr.M
-    record = _mode_record(obs.L, obs.E, obs.S, obs.C, mpr.M)
-    n_hat, value = record.argmax_from(k_min, k_max)
+    n_hat, value = _posterior_mode(obs.L, obs.E, obs.S, obs.C, mpr.M, k_min)
     return MapEstimate(n_hat, k_min, k_max, value)
 
 

@@ -10,7 +10,7 @@ from dfsa_mpr.estimator import (
     FrameObservation,
     _first_argmax_of_concave,
     _log_posterior_array,
-    _mode_record,
+    _posterior_mode,
     log_posterior,
     map_estimate,
     posterior_curve,
@@ -160,21 +160,33 @@ class TestMapEstimate:
 
 @st.composite
 def frames_with_a_free_slot(draw):
-    """(L, E, S, C, identified, M): L in [1, 64], M in [1, 8], a slot not collided."""
+    """(L, E, S, C, M) with L in [1, 64], M in [1, 8] and at least one slot not collided."""
     L = draw(st.integers(1, 64))
     C = draw(st.integers(0, L - 1))
     S = draw(st.integers(0, L - C))
-    M = draw(st.integers(1, 8))
-    return L, L - S - C, S, C, draw(st.integers(S, S * M)), M
+    return L, L - S - C, S, C, draw(st.integers(1, 8))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(frames_with_a_free_slot())
 def test_map_estimate_equals_brute_force_over_the_whole_cap(frame):
-    L, E, S, C, identified, M = frame
-    est = map_estimate(FrameObservation(L, E, S, C, identified), MprOrder(M))
+    L, E, S, C, M = frame
+    est = map_estimate(FrameObservation(L=L, E=E, S=S, C=C, identified=S), MprOrder(M))
     assert est.k_max == 10 * L * M
-    assert est.n_hat == brute_force_map(L, E, S, C, M, k_max=est.k_max, k_min=est.k_min)
+    assert est.n_hat == brute_force_map(L, E, S, C, M, k_max=est.k_max)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(frames_with_a_free_slot(), st.data())
+def test_map_estimate_with_more_tags_identified_than_slots(frame, data):
+    # more decoded tags raise the lower end of the search; the estimate is
+    # the brute-force argmax over [k_min, 10 L M] with k_min computed here
+    L, E, S, C, M = frame
+    identified = data.draw(st.integers(S, S * M))
+    est = map_estimate(FrameObservation(L, E, S, C, identified), MprOrder(M))
+    k_min = max(identified, S) + (M + 1) * C
+    assert (est.k_min, est.k_max) == (k_min, 10 * L * M)
+    assert est.n_hat == brute_force_map(L, E, S, C, M, k_max=10 * L * M, k_min=k_min)
 
 
 @pytest.mark.parametrize(
@@ -233,28 +245,29 @@ class TestMemo:
     OBS = FrameObservation(L=64, E=19, S=28, C=17, identified=40)
 
     def test_bounded(self):
-        assert 0 < _mode_record.cache_info().maxsize < 10**6
+        assert 0 < _posterior_mode.cache_info().maxsize < 10**6
 
     def test_repeated_key_is_a_hit(self):
-        _mode_record.cache_clear()
+        _posterior_mode.cache_clear()
         first = map_estimate(self.OBS, MprOrder(3))
         assert map_estimate(self.OBS, MprOrder(3)) == first
-        info = _mode_record.cache_info()
+        info = _posterior_mode.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
-    def test_identified_is_not_part_of_the_key(self):
-        # the mode is 130: k_min = 152 first leaves only a bound, k_min = 96
-        # then finds the mode, and k_min = 118 and 152 are answered from it
-        _mode_record.cache_clear()
+    def test_frames_differing_only_in_identified_do_not_share_an_answer(self):
+        # the mode is 130: k_min = 152 and 118 straddle it, so a key without
+        # k_min would answer one of them wrongly
+        _posterior_mode.cache_clear()
         estimates = [
             map_estimate(FrameObservation(64, 19, 28, 17, identified), MprOrder(3))
             for identified in (84, 28, 50, 84)
         ]
-        info = _mode_record.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+        info = _posterior_mode.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
         assert [est.n_hat for est in estimates] == [152, 130, 130, 152]
-        for est in estimates:
-            assert est.n_hat == brute_force_map(64, 19, 28, 17, 3, k_max=est.k_max, k_min=est.k_min)
+        for identified, est in zip((84, 28, 50, 84), estimates):
+            k_min = identified + 4 * 17
+            assert est.n_hat == brute_force_map(64, 19, 28, 17, 3, k_max=1920, k_min=k_min)
             assert est.log_posterior_at_mode == log_posterior(
                 est.n_hat, FrameObservation(64, 19, 28, 17, 28), MprOrder(3)
             )
@@ -271,7 +284,7 @@ class TestMemo:
             frames.append((FrameObservation(L, L - S - C, S, C, identified), MprOrder(M)))
         cold = []
         for obs, mpr in frames:
-            _mode_record.cache_clear()
+            _posterior_mode.cache_clear()
             cold.append(map_estimate(obs, mpr))
         warm = [map_estimate(obs, mpr) for obs, mpr in frames * 2]
         assert warm == cold * 2
