@@ -15,7 +15,8 @@ from .frame_optimizer import (
 from .harness import (
     AggregateMetrics,
     ExperimentSpec,
-    emit_results,
+    render_csv,
+    render_json,
     run_experiment,
 )
 from .prob_model import (
@@ -48,12 +49,13 @@ __all__ = [
     "SlotProbabilities",
     "Variant",
     "channel_efficiency",
-    "emit_results",
     "log_posterior",
     "map_estimate",
     "next_frame_length",
     "optimal_frame_length",
     "posterior_curve",
+    "render_csv",
+    "render_json",
     "run_experiment",
     "run_frame",
     "run_interrogation",

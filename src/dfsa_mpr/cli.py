@@ -1,8 +1,11 @@
 """Command-line front end: simulate sweeps, tabulate closed forms, run the estimator.
 
-Exit codes: 0 on success, 1 on bad configuration or arguments, 2 on a runtime
-diagnostic (e.g. the non-termination safety cap). Progress goes to stderr;
-data goes to the output file or stdout.
+Exit codes: 0 on success, 1 on bad configuration or arguments or an output
+path that cannot be written, 2 on a runtime diagnostic (e.g. the
+non-termination safety cap). Errors are one ``dfsa-mpr`` line on stderr (after
+the usage line, for argparse errors), never a traceback. ``simulate`` checks
+its whole spec and opens its output file before the sweep starts. Progress
+goes to stderr; data goes to the output file or stdout.
 """
 
 from __future__ import annotations
@@ -13,23 +16,17 @@ from typing import Optional
 
 import yaml
 
-from .estimator import (
-    FrameObservation,
-    map_estimate,
-    posterior_curve,
-    search_lower_bound,
-)
+from .estimator import FrameObservation, map_estimate, posterior_curve
 from .harness import (
     ExperimentSpec,
     efficiency_curve,
-    emit_results,
     optimal_length_table,
     render_csv,
     render_json,
     run_experiment,
 )
 from .prob_model import MprOrder
-from .protocol import NonTerminationError, Variant
+from .protocol import NonTerminationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +54,17 @@ def parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+#: simulate flags that override a config key: (flag, spec key, parser)
+_OVERRIDES = [
+    ("--tag-counts", "tag_counts", parse_int_list),
+    ("--mpr-orders", "mpr_orders", parse_int_list),
+    ("--initial-frame-lengths", "initial_frame_lengths", parse_int_list),
+    ("--variants", "variants", lambda text: [v.strip() for v in text.split(",") if v.strip()]),
+    ("--trials", "trials", int),
+    ("--seed", "master_seed", int),
+]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dfsa-mpr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,8 +75,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--mpr-orders", help="override: list of M values")
     sim.add_argument("--initial-frame-lengths", help="override: list of L0 values")
     sim.add_argument("--variants", help="override: comma list of fsa/dfsa")
-    sim.add_argument("--trials", type=int, help="override: trials per cell")
-    sim.add_argument("--seed", type=int, help="override: master seed")
+    sim.add_argument("--trials", help="override: trials per cell")
+    sim.add_argument("--seed", help="override: master seed")
     sim.add_argument("--out", help="output file (default stdout)")
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
     sim.add_argument("--parallel", type=int, default=1, help="worker processes")
@@ -106,19 +114,28 @@ def _load_spec(args) -> ExperimentSpec:
         if not isinstance(loaded, dict):
             raise ValueError(f"config {args.config} must be a mapping")
         raw.update(loaded)
-    if args.tag_counts:
-        raw["tag_counts"] = parse_int_list(args.tag_counts)
-    if args.mpr_orders:
-        raw["mpr_orders"] = parse_int_list(args.mpr_orders)
-    if args.initial_frame_lengths:
-        raw["initial_frame_lengths"] = parse_int_list(args.initial_frame_lengths)
-    if args.variants:
-        raw["variants"] = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
+    for flag, key, parse in _OVERRIDES:
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is not None:
+            try:
+                raw[key] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     return ExperimentSpec.from_dict(raw)
+
+
+def _write(text: str, path: Optional[str]) -> int:
+    """Write ``text`` to ``path``, or to stdout without one; exit code 1 on an OSError."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"dfsa-mpr: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -127,17 +144,17 @@ def _cmd_simulate(args) -> int:
     except (ValueError, TypeError, OSError, yaml.YAMLError) as exc:
         print(f"dfsa-mpr: bad config: {exc}", file=sys.stderr)
         return 1
+    # create the output file now, so that a path that cannot be written fails
+    # before the sweep rather than after it
+    if _write("", args.out):
+        return 1
     try:
-        table = run_experiment(spec, parallel=max(1, args.parallel), progress=True)
+        table = run_experiment(spec, parallel=args.parallel, progress=True)
     except NonTerminationError as exc:
         print(f"dfsa-mpr: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        emit_results(table, format=args.format, path=args.out)
-    else:
-        renderer = render_csv if args.format == "csv" else render_json
-        sys.stdout.write(renderer(table))
-    return 0
+    render = render_csv if args.format == "csv" else render_json
+    return _write(render(table), args.out)
 
 
 def _cmd_analyze(args) -> int:
@@ -155,12 +172,7 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"dfsa-mpr: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(text, args.out)
 
 
 def _cmd_estimate(args) -> int:
@@ -184,7 +196,7 @@ def _cmd_estimate(args) -> int:
             file=sys.stderr,
         )
     if args.curve_out:
-        k_min = search_lower_bound(obs, mpr)
+        k_min = estimate.k_min
         k_max = args.curve_k_max
         if k_max is None:
             k_max = max(2 * n_hat + 10, k_min + 100)
@@ -192,10 +204,8 @@ def _cmd_estimate(args) -> int:
             print(f"dfsa-mpr: curve k max {k_max} below lower bound {k_min}", file=sys.stderr)
             return 1
         curve = posterior_curve(obs, mpr, range(k_min, k_max + 1))
-        with open(args.curve_out, "w", newline="") as handle:
-            handle.write("k,probability\n")
-            for k, prob in curve:
-                handle.write(f"{k},{prob:.6g}\n")
+        rows = "".join(f"{k},{prob:.6g}\n" for k, prob in curve)
+        return _write("k,probability\n" + rows, args.curve_out)
     return 0
 
 

@@ -1,10 +1,12 @@
-"""Monte Carlo sweep runner and result emission.
+"""Monte Carlo sweep runner, result rendering and closed-form tables.
 
 Runs repeated interrogations over a grid of (variant, n, M, L0) cells,
 aggregates read rate, identification delay and first-frame estimation error,
-and writes the table as CSV or JSON. Per-trial RNG streams are derived from
-the master seed and the cell key, so results are reproducible and independent
-of execution order.
+and renders the table as CSV or JSON text (the CLI writes it out). Every
+element of an ``ExperimentSpec`` is checked when the spec is built, so a
+sweep that starts does not abort on a bad cell. Per-trial RNG streams are
+derived from the master seed and the cell key, so results are reproducible
+and independent of execution order and of the worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from typing import Mapping, Optional
 
 import numpy as np
@@ -21,21 +25,7 @@ import numpy as np
 from .estimator import map_estimate
 from .frame_optimizer import optimal_frame_length
 from .prob_model import MprOrder, log_slot_probabilities
-from .protocol import ProtocolConfig, Variant, run_interrogation
-
-CSV_COLUMNS = [
-    "variant",
-    "n",
-    "M",
-    "L0",
-    "trials",
-    "read_rate_mean",
-    "read_rate_std",
-    "delay_mean",
-    "delay_std",
-    "est_err_pct_mean",
-    "est_err_pct_std",
-]
+from .protocol import ProtocolConfig, Variant, require_count, run_interrogation
 
 #: cell key: (variant value, n, M, L0)
 CellKey = tuple[str, int, int, int]
@@ -52,22 +42,22 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         for name in ("tag_counts", "mpr_orders", "initial_frame_lengths", "variants"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+        if not all(isinstance(v, Variant) for v in self.variants):
+            raise ValueError(f"variants must be Variant members, got {self.variants!r}")
+        require_count("trials", self.trials, 1)
+        require_count("master seed", self.master_seed, 0)
+        # each element meets a cell's ProtocolConfig checks; 1 fills the shorter lists
+        for n, m, l0 in zip_longest(
+            self.tag_counts, self.mpr_orders, self.initial_frame_lengths, fillvalue=1
+        ):
+            ProtocolConfig(n=n, mpr=MprOrder(m), initial_frame_length=l0)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentSpec":
-        known = {
-            "tag_counts",
-            "mpr_orders",
-            "initial_frame_lengths",
-            "variants",
-            "trials",
-            "master_seed",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
@@ -95,6 +85,10 @@ class AggregateMetrics:
     delay_std: float
     est_err_pct_mean: float
     est_err_pct_std: float
+
+
+#: the CSV header: the cell key, then the metrics in field order
+CSV_COLUMNS = ["variant", "n", "M", "L0", *(f.name for f in fields(AggregateMetrics))]
 
 
 def _trial_rng(master_seed: int, key: CellKey, trial: int) -> np.random.Generator:
@@ -165,19 +159,14 @@ def run_experiment(
     cells = spec.cells()
     jobs = [(key, spec.trials, spec.master_seed) for key in cells]
     results: dict[CellKey, AggregateMetrics] = {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for i, (key, metrics) in enumerate(pool.map(_run_cell, jobs), 1):
-                results[key] = metrics
-                if progress:
-                    print(f"[{i}/{len(cells)}] {key} done", file=sys.stderr)
-    else:
-        for i, job in enumerate(jobs, 1):
-            key, metrics = _run_cell(job)
+    with ProcessPoolExecutor(parallel) if parallel > 1 else nullcontext() as pool:
+        # both maps yield in job order, so the rows stay sorted
+        cell_map = pool.map if pool else map
+        for i, (key, metrics) in enumerate(cell_map(_run_cell, jobs), 1):
             results[key] = metrics
             if progress:
                 print(f"[{i}/{len(cells)}] {key} done", file=sys.stderr)
-    return {key: results[key] for key in cells}
+    return results
 
 
 def _format_value(value) -> str:
@@ -210,22 +199,6 @@ def render_json(table: Mapping[CellKey, AggregateMetrics]) -> str:
             if isinstance(value, float):
                 row[col] = float(f"{value:.6g}")
     return json.dumps(rows, indent=2) + "\n"
-
-
-def emit_results(
-    table: Mapping[CellKey, AggregateMetrics], format: str = "csv", path: str = ""
-) -> None:
-    """Write the aggregated table to ``path`` as CSV or JSON."""
-    if not table:
-        raise ValueError("result table is empty, nothing to write")
-    if format == "csv":
-        text = render_csv(table)
-    elif format == "json":
-        text = render_json(table)
-    else:
-        raise ValueError(f"unknown output format {format!r}")
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
 
 
 def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:

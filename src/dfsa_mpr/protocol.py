@@ -5,11 +5,13 @@ random. A slot with 1..M tags decodes (all of its tags are identified and
 leave contention); a slot with more than M collides and its tags retry next
 frame. FSA keeps the frame length fixed; DFSA re-sizes each frame from a MAP
 estimate of the remaining population. Interrogation ends at the first frame
-with no collided slot.
+with no collided slot, when every tag has been identified; a run that reaches
+``FRAME_SAFETY_CAP`` frames first raises ``NonTerminationError``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -33,26 +35,29 @@ class Variant(str, Enum):
     DFSA = "dfsa"
 
 
+def require_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     n: int
     mpr: MprOrder
     initial_frame_length: int
     variant: Variant = Variant.DFSA
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"tag count must be >= 0, got {self.n}")
-        if self.initial_frame_length < 1:
-            raise ValueError(
-                f"initial frame length must be >= 1, got {self.initial_frame_length}"
-            )
+        require_count("tag count", self.n, 0)
+        require_count("MPR order", self.mpr.M, 1)
+        require_count("initial frame length", self.initial_frame_length, 1)
 
 
 @dataclass(frozen=True)
 class FrameRecord:
-    frame_index: int
     frame_length: int
     observation: FrameObservation
     estimate: Optional[MapEstimate]  # absent for FSA and for clean final frames
@@ -63,8 +68,6 @@ class FrameRecord:
 class InterrogationResult:
     frames: list[FrameRecord]
     total_slots: int
-    total_identified: int
-    terminated: bool
 
 
 def run_frame(
@@ -90,20 +93,21 @@ def run_frame(
 def run_interrogation(
     config: ProtocolConfig, rng: Optional[np.random.Generator] = None
 ) -> InterrogationResult:
-    """Interrogate until a frame has no collisions; returns the full trajectory."""
+    """Interrogate until a frame has no collisions; returns the full trajectory.
+
+    Without ``rng`` the run draws from ``np.random.default_rng(0)``.
+    """
     if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
+        rng = np.random.default_rng(0)
     tags = config.n
     frame_length = config.initial_frame_length
     frames: list[FrameRecord] = []
     total_slots = 0
-    total_identified = 0
 
     while True:
         obs = run_frame(tags, frame_length, config.mpr, rng)
         tags -= obs.identified
         total_slots += frame_length
-        total_identified += obs.identified
 
         estimate: Optional[MapEstimate] = None
         if config.variant is Variant.DFSA and obs.C > 0:
@@ -111,7 +115,6 @@ def run_interrogation(
 
         frames.append(
             FrameRecord(
-                frame_index=len(frames) + 1,
                 frame_length=frame_length,
                 observation=obs,
                 estimate=estimate,
@@ -120,12 +123,7 @@ def run_interrogation(
         )
 
         if obs.C == 0:
-            return InterrogationResult(
-                frames=frames,
-                total_slots=total_slots,
-                total_identified=total_identified,
-                terminated=True,
-            )
+            return InterrogationResult(frames=frames, total_slots=total_slots)
         if len(frames) >= FRAME_SAFETY_CAP:
             raise NonTerminationError(
                 f"interrogation exceeded {FRAME_SAFETY_CAP} frames "

@@ -14,7 +14,8 @@ import pytest
 from conftest import brute_force_map, verify_stationarity
 from dfsa_mpr.estimator import FrameObservation, map_estimate
 from dfsa_mpr.frame_optimizer import optimal_frame_length
-from dfsa_mpr.harness import ExperimentSpec, emit_results, run_experiment
+from dfsa_mpr.cli import main
+from dfsa_mpr.harness import ExperimentSpec, run_experiment
 from dfsa_mpr.prob_model import (
     Load,
     MprOrder,
@@ -215,17 +216,12 @@ def test_criterion_7_simulation_matches_closed_forms():
 
 
 def test_criterion_8_deterministic_csv(tmp_path):
-    spec = ExperimentSpec(
-        tag_counts=[50, 150],
-        mpr_orders=[1, 2],
-        initial_frame_lengths=[32],
-        variants=[Variant.DFSA, Variant.FSA],
-        trials=25,
-        master_seed=MASTER_SEED,
-    )
+    args = ["simulate", "--tag-counts", "50,150", "--mpr-orders", "1,2",
+            "--initial-frame-lengths", "32", "--variants", "dfsa,fsa",
+            "--trials", "25", "--seed", str(MASTER_SEED)]
     paths = [tmp_path / "run1.csv", tmp_path / "run2.csv"]
     for path in paths:
-        emit_results(run_experiment(spec), format="csv", path=str(path))
+        assert main(args + ["--out", str(path)]) == 0
     identical = paths[0].read_bytes() == paths[1].read_bytes()
     _report(
         "8 (byte-identical reruns)",

@@ -3,6 +3,7 @@ import csv
 import pytest
 import yaml
 
+import dfsa_mpr.protocol as protocol
 from dfsa_mpr.cli import main, parse_int_list
 
 
@@ -155,3 +156,66 @@ def test_simulate_bad_config_exit_1(tmp_path, capsys):
     config.write_text("tag_counts: []\nmpr_orders: [1]\ninitial_frame_lengths: [8]\n")
     assert main(["simulate", "--config", str(config)]) == 1
     assert main(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 1
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("dfsa-mpr:")
+
+
+def _simulate(n="5", m="1", l0="8"):
+    return ["simulate", "--tag-counts", n, "--mpr-orders", m,
+            "--initial-frame-lengths", l0, "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _simulate(n="-5"),
+        _simulate(m="0"),
+        [*_simulate(m="0"), "--parallel", "2"],
+        _simulate(l0="0"),
+        [*_simulate(), "--seed", "-1"],
+        [*_simulate(), "--trials", "abc"],
+    ],
+)
+def test_simulate_bad_flag_value_is_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "entry", ["tag_counts: 5", "tag_counts: [1.5]", "tag_counts: [5]\nmaster_seed: 1.5"]
+)
+def test_simulate_bad_config_value_is_one_error_line(entry, tmp_path, capsys):
+    config = tmp_path / "spec.yaml"
+    config.write_text(f"{entry}\nmpr_orders: [1]\ninitial_frame_lengths: [8]\ntrials: 2\n")
+    assert main(["simulate", "--config", str(config)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_simulate(), "--out"],
+        [*_simulate(), "--format", "json", "--out"],
+        ["analyze", "--optimal-length", "--out"],
+        ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", "2", "--curve-out"],
+    ],
+)
+def test_output_into_missing_directory_is_one_error_line(argv, tmp_path, capsys):
+    # simulate fails before its sweep: no progress line precedes the error
+    assert main([*argv, str(tmp_path / "missing" / "out")]) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_simulate_non_termination_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(protocol, "FRAME_SAFETY_CAP", 1)
+    code = main(["simulate", "--tag-counts", "60", "--mpr-orders", "1",
+                 "--initial-frame-lengths", "4", "--variants", "fsa", "--trials", "1"])
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("dfsa-mpr: interrogation exceeded")

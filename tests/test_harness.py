@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+import dfsa_mpr.harness as harness
+from dfsa_mpr.cli import main
 from dfsa_mpr.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
     efficiency_curve,
-    emit_results,
     optimal_length_table,
     render_csv,
     render_json,
@@ -58,6 +59,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict({"tag_counts": [10], "bogus": 1})
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tag_counts": [40, -5]},
+            {"tag_counts": [1.5]},
+            {"tag_counts": [True]},
+            {"tag_counts": 5},
+            {"mpr_orders": [1, 0]},
+            {"mpr_orders": [2.0]},
+            {"initial_frame_lengths": [0]},
+            {"master_seed": -1},
+            {"master_seed": 1.5},
+            {"variants": ["fsa"]},
+        ],
+    )
+    def test_bad_cell_rejected_before_any_cell_runs(self, monkeypatch, bad, parallel):
+        calls = []
+        monkeypatch.setattr(harness, "_run_cell", lambda job: calls.append(job))
+        with pytest.raises(ValueError):
+            run_experiment(small_spec(**bad), parallel=parallel)
+        assert calls == []
+
 
 class TestRunExperiment:
     def test_rows_sorted_and_complete(self):
@@ -93,27 +117,17 @@ class TestRunExperiment:
 
 
 class TestEmitResults:
-    def test_empty_table_errors_without_writing(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        with pytest.raises(ValueError):
-            emit_results({}, format="csv", path=str(out))
-        assert not out.exists()
+    """The table as text (``render_csv``/``render_json``) and as the CLI writes it."""
 
-    def test_header_and_single_row(self, tmp_path):
+    def test_header_and_single_row(self):
         spec = small_spec(tag_counts=[40], mpr_orders=[1])
-        table = run_experiment(spec)
-        out = tmp_path / "one.csv"
-        emit_results(table, format="csv", path=str(out))
-        lines = out.read_text().splitlines()
+        lines = render_csv(run_experiment(spec)).splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
 
-    def test_csv_round_trip_six_significant_digits(self, tmp_path):
+    def test_csv_round_trip_six_significant_digits(self):
         table = run_experiment(small_spec())
-        out = tmp_path / "table.csv"
-        emit_results(table, format="csv", path=str(out))
-        with open(out) as handle:
-            rows = list(csv.DictReader(handle))
+        rows = list(csv.DictReader(render_csv(table).splitlines()))
         assert len(rows) == len(table)
         for row in rows:
             key = (row["variant"], int(row["n"]), int(row["M"]), int(row["L0"]))
@@ -123,18 +137,20 @@ class TestEmitResults:
                 original = getattr(metrics, column)
                 assert emitted == pytest.approx(original, rel=1e-5)
 
-    def test_json_mirrors_csv_fields(self, tmp_path):
+    def test_json_mirrors_csv_fields(self):
         table = run_experiment(small_spec())
-        out = tmp_path / "table.json"
-        emit_results(table, format="json", path=str(out))
-        records = json.loads(out.read_text())
+        records = json.loads(render_json(table))
         assert len(records) == len(table)
         assert set(records[0]) == set(CSV_COLUMNS)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        table = run_experiment(small_spec(tag_counts=[40], mpr_orders=[1]))
-        with pytest.raises(ValueError):
-            emit_results(table, format="xml", path=str(tmp_path / "x"))
+    def test_unknown_format_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["simulate", "--tag-counts", "40", "--mpr-orders", "1",
+                     "--initial-frame-lengths", "32", "--trials", "2",
+                     "--format", "xml", "--out", str(out)])
+        assert code == 1
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_renders_are_deterministic(self):
         spec = small_spec()

@@ -73,10 +73,10 @@ def test_outcome_frequencies_match_binomial(M):
 def test_no_tags_terminates_immediately():
     config = ProtocolConfig(n=0, mpr=MprOrder(1), initial_frame_length=32)
     result = run_interrogation(config)
-    assert result.terminated
     assert len(result.frames) == 1
     assert result.total_slots == 32
-    assert result.total_identified == 0
+    assert sum(f.observation.identified for f in result.frames) == 0
+    assert result.frames[-1].observation.C == 0
 
 
 def test_single_tag_cannot_collide():
@@ -84,7 +84,8 @@ def test_single_tag_cannot_collide():
         config = ProtocolConfig(n=1, mpr=MprOrder(M), initial_frame_length=16)
         result = run_interrogation(config, np.random.default_rng(1))
         assert len(result.frames) == 1
-        assert result.total_identified == 1
+        assert sum(f.observation.identified for f in result.frames) == 1
+        assert result.frames[-1].observation.C == 0
 
 
 @pytest.mark.parametrize("variant", [Variant.FSA, Variant.DFSA])
@@ -94,8 +95,7 @@ def test_interrogation_invariants(variant, n, M, L0):
         n=n, mpr=MprOrder(M), initial_frame_length=L0, variant=variant
     )
     result = run_interrogation(config, np.random.default_rng(17))
-    assert result.terminated
-    assert result.total_identified == n
+    assert sum(f.observation.identified for f in result.frames) == n
     assert result.total_slots == sum(f.frame_length for f in result.frames)
     assert result.frames[-1].observation.C == 0
     remaining = n
@@ -106,6 +106,20 @@ def test_interrogation_invariants(variant, n, M, L0):
         remaining -= obs.identified
         assert record.tags_remaining_after == remaining
     assert remaining == 0
+
+
+def test_without_rng_the_run_draws_from_seed_zero():
+    config = ProtocolConfig(n=120, mpr=MprOrder(2), initial_frame_length=32)
+    assert run_interrogation(config) == run_interrogation(config, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "n,M,L0",
+    [(-1, 1, 8), (1.5, 1, 8), (True, 1, 8), (5, 0, 8), (5, 1.5, 8), (5, 1, 0), (5, 1, 8.0)],
+)
+def test_config_rejects_bad_counts(n, M, L0):
+    with pytest.raises(ValueError):
+        ProtocolConfig(n=n, mpr=MprOrder(M), initial_frame_length=L0)
 
 
 def test_fsa_never_estimates_or_adapts():
