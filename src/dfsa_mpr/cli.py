@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_int_list(text: str) -> list[int]:
-    """Parse '100,200,300' or 'start:stop:step' (stop inclusive) into a list."""
+    """Parse '100,200,300' or 'start:stop:step' (stop inclusive) into a non-empty list."""
     text = text.strip()
     if ":" in text:
         parts = [int(p) for p in text.split(":")]
@@ -50,8 +50,12 @@ def parse_int_list(text: str) -> list[int]:
             raise ValueError(f"bad range syntax: {text!r}")
         if step < 1:
             raise ValueError(f"range step must be >= 1 in {text!r}")
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",") if p.strip()]
+        values = list(range(start, stop + 1, step))
+    else:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"no values in {text!r}")
+    return values
 
 
 #: simulate flags that override a config key: (flag, spec key, parser)

@@ -135,8 +135,11 @@ def log_posterior(k: int, obs: FrameObservation, mpr: MprOrder) -> float:
 
 
 def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
-    """Smallest population consistent with the tallies: identified tags plus M+1 per collision."""
-    return max(obs.identified, obs.S) + (mpr.M + 1) * obs.C
+    """Smallest population consistent with the tallies: identified tags plus M+1 per collision.
+
+    Vogt's lower bound at M = 1. Next-frame sizing relies on it.
+    """
+    return obs.identified + (mpr.M + 1) * obs.C
 
 
 def _first_argmax_of_concave(

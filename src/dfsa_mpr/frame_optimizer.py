@@ -2,7 +2,8 @@
 
 The frame length maximizing channel usage efficiency is n / (M!)^(1/M); the
 functions here apply that criterion to a known population, or to the
-estimated remaining population between interrogation rounds.
+estimated remaining population between interrogation rounds: the MAP
+estimate minus the tags identified, at least M+1 by the estimator's bound.
 """
 
 from __future__ import annotations
@@ -37,18 +38,6 @@ def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     return FramePlan(length=max(1, _round_half_up(raw)), raw_optimum=raw)
 
 
-def next_frame_length(
-    estimate: int, identified: int, mpr: MprOrder, collisions: int = 0
-) -> FramePlan:
-    """Frame length for the next round given this round's estimate and tally.
-
-    Remaining population is estimate minus tags already identified. If that
-    is zero but the frame still had collisions, each collided slot provably
-    held at least M+1 tags, so (M+1) * collisions is the smallest population
-    consistent with the observation.
-    """
-    remaining = max(estimate - identified, 0)
-    if remaining == 0 and collisions > 0:
-        remaining = (mpr.M + 1) * collisions
-    return optimal_frame_length(remaining, mpr)
-
+def next_frame_length(estimate: int, identified: int, mpr: MprOrder) -> FramePlan:
+    """Optimal length for the ``estimate - identified`` tags left; ValueError if negative."""
+    return optimal_frame_length(estimate - identified, mpr)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .estimator import map_estimate
 from .frame_optimizer import optimal_frame_length
-from .prob_model import MprOrder, log_slot_probabilities
-from .protocol import ProtocolConfig, Variant, require_count, run_interrogation
+from .prob_model import MprOrder, log_slot_probabilities, require_count
+from .protocol import ProtocolConfig, Variant, run_interrogation
 
 #: cell key: (variant value, n, M, L0)
 CellKey = tuple[str, int, int, int]
@@ -220,10 +220,10 @@ def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
 
 def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) -> str:
     """CSV of channel efficiency versus integer frame length, for one (n, M)."""
-    if n < 0:
-        raise ValueError(f"tag count must be >= 0, got {n}")
+    require_count("tag count", n, 0)
     if max_length is None:
         max_length = max(4 * n, 1)
+    require_count("max length", max_length, 1)
     lengths = np.arange(1, max_length + 1)
     _, log_s, _ = log_slot_probabilities(n / lengths, mpr.M)
     lines = ["L,efficiency"]

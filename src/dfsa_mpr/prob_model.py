@@ -12,10 +12,19 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,8 +34,7 @@ class MprOrder:
     M: int
 
     def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError(f"MPR order must be a positive integer, got {self.M}")
+        require_count("MPR order", self.M, 1)
 
 
 @dataclass(frozen=True)
@@ -37,10 +45,8 @@ class Load:
     L: int
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise ValueError(f"frame length must be >= 1, got {self.L}")
-        if self.n < 0:
-            raise ValueError(f"tag count must be >= 0, got {self.n}")
+        require_count("frame length", self.L, 1)
+        require_count("tag count", self.n, 0)
 
     @property
     def rho(self) -> float:

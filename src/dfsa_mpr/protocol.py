@@ -3,15 +3,15 @@
 Each frame, every unidentified tag picks one of the L slots uniformly at
 random. A slot with 1..M tags decodes (all of its tags are identified and
 leave contention); a slot with more than M collides and its tags retry next
-frame. FSA keeps the frame length fixed; DFSA re-sizes each frame from a MAP
-estimate of the remaining population. Interrogation ends at the first frame
-with no collided slot, when every tag has been identified; a run that reaches
+frame. FSA keeps the frame length fixed; after a collided frame, DFSA sizes
+the next one for the MAP estimate minus the tags identified
+(``next_frame_length``). Interrogation ends at the first frame with no
+collided slot, when every tag has been identified; a run that reaches
 ``FRAME_SAFETY_CAP`` frames first raises ``NonTerminationError``.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimator import FrameObservation, MapEstimate, map_estimate
 from .frame_optimizer import next_frame_length
-from .prob_model import MprOrder
+from .prob_model import MprOrder, require_count
 
 #: frames after which a run is declared non-terminating (configuration bug)
 FRAME_SAFETY_CAP = 100_000
@@ -35,14 +35,6 @@ class Variant(str, Enum):
     DFSA = "dfsa"
 
 
-def require_count(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     n: int
@@ -52,16 +44,18 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         require_count("tag count", self.n, 0)
-        require_count("MPR order", self.mpr.M, 1)
         require_count("initial frame length", self.initial_frame_length, 1)
 
 
 @dataclass(frozen=True)
 class FrameRecord:
-    frame_length: int
+    """A frame's tallies (its length is ``observation.L``) and DFSA's estimate.
+
+    The tags left after it are n minus the running sum of ``identified``.
+    """
+
     observation: FrameObservation
     estimate: Optional[MapEstimate]  # absent for FSA and for clean final frames
-    tags_remaining_after: int
 
 
 @dataclass(frozen=True)
@@ -112,15 +106,10 @@ def run_interrogation(
         estimate: Optional[MapEstimate] = None
         if config.variant is Variant.DFSA and obs.C > 0:
             estimate = map_estimate(obs, config.mpr)
-
-        frames.append(
-            FrameRecord(
-                frame_length=frame_length,
-                observation=obs,
-                estimate=estimate,
-                tags_remaining_after=tags,
-            )
-        )
+            frame_length = next_frame_length(
+                estimate.n_hat, obs.identified, config.mpr
+            ).length
+        frames.append(FrameRecord(observation=obs, estimate=estimate))
 
         if obs.C == 0:
             return InterrogationResult(frames=frames, total_slots=total_slots)
@@ -130,8 +119,3 @@ def run_interrogation(
                 f"(n={config.n}, M={config.mpr.M}, L0={config.initial_frame_length}, "
                 f"variant={config.variant.value})"
             )
-        if config.variant is Variant.DFSA:
-            assert estimate is not None
-            frame_length = next_frame_length(
-                estimate.n_hat, obs.identified, config.mpr, collisions=obs.C
-            ).length

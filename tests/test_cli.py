@@ -13,6 +13,9 @@ def test_parse_int_list_forms():
     assert parse_int_list("3:5") == [3, 4, 5]
     with pytest.raises(ValueError):
         parse_int_list("1:2:3:4")
+    for empty in ("5:1", ",", ""):
+        with pytest.raises(ValueError):
+            parse_int_list(empty)
 
 
 def test_estimate_prints_map_peak(capsys):
@@ -194,6 +197,21 @@ def test_simulate_bad_config_value_is_one_error_line(entry, tmp_path, capsys):
     config = tmp_path / "spec.yaml"
     config.write_text(f"{entry}\nmpr_orders: [1]\ninitial_frame_lengths: [8]\ntrials: 2\n")
     assert main(["simulate", "--config", str(config)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--optimal-length", "--tag-counts", "5:1"],
+        ["analyze", "--optimal-length", "--tag-counts", ","],
+        ["analyze", "--optimal-length", "--mpr-orders", "4:1"],
+        ["analyze", "--efficiency-curve", "--tag-counts", "50", "--mpr-orders", "2",
+         "--max-length", "0"],
+    ],
+)
+def test_analyze_empty_input_is_one_error_line(argv, capsys):
+    assert main(argv) == 1
     _assert_one_error_line(capsys)
 
 

