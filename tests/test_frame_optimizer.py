@@ -36,9 +36,14 @@ def test_negative_population_rejected():
         optimal_frame_length(-1, MprOrder(1))
 
 
-def test_m1_reduction_exact():
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_m1_reduction_exact(M):
+    # raw optimum is the population scaled by (M!)^(-1/M): exactly n at M = 1
     for n in (1, 37, 1000):
-        assert optimal_frame_length(n, MprOrder(1)).raw_optimum == float(n)
+        raw = optimal_frame_length(n, MprOrder(M)).raw_optimum
+        assert raw * math.factorial(M) ** (1 / M) == pytest.approx(n, rel=1e-14)
+        if M == 1:
+            assert raw == float(n)
 
 
 def test_next_frame_plain_difference_m1():
