@@ -3,7 +3,6 @@
 from .estimator import (
     FrameObservation,
     MapEstimate,
-    log_posterior,
     map_estimate,
     posterior_curve,
 )
@@ -20,11 +19,8 @@ from .harness import (
     run_experiment,
 )
 from .prob_model import (
-    Load,
     MprOrder,
-    SlotProbabilities,
     channel_efficiency,
-    slot_probabilities,
 )
 from .protocol import (
     InterrogationResult,
@@ -41,15 +37,12 @@ __all__ = [
     "FrameObservation",
     "FramePlan",
     "InterrogationResult",
-    "Load",
     "MapEstimate",
     "MprOrder",
     "NonTerminationError",
     "ProtocolConfig",
-    "SlotProbabilities",
     "Variant",
     "channel_efficiency",
-    "log_posterior",
     "map_estimate",
     "next_frame_length",
     "optimal_frame_length",
@@ -59,5 +52,4 @@ __all__ = [
     "run_experiment",
     "run_frame",
     "run_interrogation",
-    "slot_probabilities",
 ]

@@ -60,7 +60,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .prob_model import MprOrder, log_slot_probabilities
+from .prob_model import MprOrder, log_slot_probabilities, require_count
 
 #: candidates in the first window of the mode search, and the factor by
 #: which each later window is wider
@@ -127,11 +127,22 @@ def _log_posterior_array(ks: np.ndarray, L: int, E: int, S: int, C: int, M: int)
     return out
 
 
-def log_posterior(k: int, obs: FrameObservation, mpr: MprOrder) -> float:
-    """Log of the (coefficient-free) posterior at population k; -inf where impossible."""
-    if k < 0:
-        raise ValueError(f"candidate population must be >= 0, got {k}")
-    return float(_log_posterior_array(np.array([k]), obs.L, obs.E, obs.S, obs.C, mpr.M)[0])
+def _require_valid_tallies(obs: FrameObservation, mpr: MprOrder) -> None:
+    """Raise ValueError unless the tallies are integers (not bools) whose
+    decoded tags fit in the S slots at MPR order M.
+
+    ``FrameObservation`` checks only its ranges, because it is built once
+    per simulated frame; the public estimator entry points check the rest.
+    """
+    require_count("frame length", obs.L, 1)
+    require_count("empty slots", obs.E, 0)
+    require_count("successful slots", obs.S, 0)
+    require_count("collided slots", obs.C, 0)
+    require_count("identified tags", obs.identified, 0)
+    if obs.identified > obs.S * mpr.M:
+        raise ValueError(
+            f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {mpr.M}"
+        )
 
 
 def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
@@ -176,10 +187,7 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     ``saturated``. Results are memoized per process, keyed on the tallies,
     M and k_min.
     """
-    if obs.identified > obs.S * mpr.M:
-        raise ValueError(
-            f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {mpr.M}"
-        )
+    _require_valid_tallies(obs, mpr)
     k_min = search_lower_bound(obs, mpr)
     k_max = 10 * obs.L * mpr.M
     n_hat, value = _posterior_mode(obs.L, obs.E, obs.S, obs.C, mpr.M, k_min)
@@ -194,6 +202,7 @@ def posterior_curve(
     Exponentiation is max-shifted for stability; deterministic for a given
     range regardless of evaluation order.
     """
+    _require_valid_tallies(obs, mpr)
     ks = np.asarray(list(k_range), dtype=int)
     if ks.size == 0:
         raise ValueError("k_range must be non-empty")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .prob_model import MprOrder
+from .prob_model import MprOrder, require_count
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     Rounded half-up to an integer, floored at 1 (a degenerate probe frame
     when n = 0).
     """
-    if n < 0:
-        raise ValueError(f"tag count must be >= 0, got {n}")
+    require_count("tag count", n, 0)
     raw = n * math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
     return FramePlan(length=max(1, _round_half_up(raw)), raw_optimum=raw)
 

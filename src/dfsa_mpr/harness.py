@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimator import map_estimate
 from .frame_optimizer import optimal_frame_length
-from .prob_model import MprOrder, log_slot_probabilities, require_count
+from .prob_model import MprOrder, channel_efficiency, require_count
 from .protocol import ProtocolConfig, Variant, run_interrogation
 
 #: cell key: (variant value, n, M, L0)
@@ -61,7 +61,8 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        if "variants" in kwargs:
+        # a scalar is left for __post_init__ to reject, not iterated as a string
+        if isinstance(kwargs.get("variants"), (list, tuple)):
             kwargs["variants"] = [Variant(str(v).lower()) for v in kwargs["variants"]]
         return cls(**kwargs)
 
@@ -208,8 +209,7 @@ def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
         mpr = MprOrder(m)
         plans = [optimal_frame_length(n, mpr) for n in tag_counts]
         loads = [n / plan.length for n, plan in zip(tag_counts, plans)]
-        _, log_s, _ = log_slot_probabilities(loads, m)
-        columns.append(list(zip(plans, np.exp(log_s).tolist())))
+        columns.append(list(zip(plans, channel_efficiency(loads, m).tolist())))
     lines = ["n,M,raw_optimum,length,efficiency"]
     for i, n in enumerate(tag_counts):
         for m, column in zip(mpr_orders, columns):
@@ -225,9 +225,9 @@ def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) ->
         max_length = max(4 * n, 1)
     require_count("max length", max_length, 1)
     lengths = np.arange(1, max_length + 1)
-    _, log_s, _ = log_slot_probabilities(n / lengths, mpr.M)
+    efficiency = channel_efficiency(n / lengths, mpr.M)
     lines = ["L,efficiency"]
-    for length, eff in zip(lengths.tolist(), np.exp(log_s).tolist()):
+    for length, eff in zip(lengths.tolist(), efficiency.tolist()):
         lines.append(f"{length},{eff:.6g}")
     return "\n".join(lines) + "\n"
 

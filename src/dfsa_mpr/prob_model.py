@@ -5,7 +5,7 @@ L-slot frame is empty, successful, or collided when n tags each pick one slot
 uniformly at random and the reader can decode up to M simultaneous replies.
 All three come from one vectorized log-domain kernel,
 ``log_slot_probabilities``, which the estimator evaluates over whole ranges
-of candidate populations.
+of candidate populations; ``channel_efficiency`` is its successful term.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from numpy.typing import ArrayLike
 
 def require_count(name: str, value, least: int) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # an exact int skips the slower Integral ABC check
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -35,32 +38,6 @@ class MprOrder:
 
     def __post_init__(self) -> None:
         require_count("MPR order", self.M, 1)
-
-
-@dataclass(frozen=True)
-class Load:
-    """Offered load: n tags contending over a frame of L slots."""
-
-    n: int
-    L: int
-
-    def __post_init__(self) -> None:
-        require_count("frame length", self.L, 1)
-        require_count("tag count", self.n, 0)
-
-    @property
-    def rho(self) -> float:
-        """Tags per slot, n/L."""
-        return self.n / self.L
-
-
-@dataclass(frozen=True)
-class SlotProbabilities:
-    """Per-slot outcome probabilities: empty, successful, collided."""
-
-    p_e: float
-    p_s: float
-    p_c: float
 
 
 #: the collision-tail series stops once a term at x = M+1, its worst case,
@@ -178,15 +155,6 @@ def log_slot_probabilities(
     return tuple(out.reshape((3,) + x.shape))
 
 
-def slot_probabilities(load: Load, mpr: MprOrder) -> SlotProbabilities:
-    """Poisson-approximation probabilities that a slot is empty / successful / collided.
-
-    A slot is successful when 1..M tags pick it, collided when more than M do.
-    """
-    p_e, p_s, p_c = np.exp(log_slot_probabilities(load.rho, mpr.M))
-    return SlotProbabilities(float(p_e), float(p_s), float(p_c))
-
-
-def channel_efficiency(load: Load, mpr: MprOrder) -> float:
-    """Fraction of slots expected to be successful (expected successes over L)."""
-    return slot_probabilities(load, mpr).p_s
+def channel_efficiency(x: ArrayLike, M: int) -> np.ndarray:
+    """Expected successful slots over L at Poisson load x = n/L, elementwise: p_s."""
+    return np.exp(log_slot_probabilities(x, M)[1])

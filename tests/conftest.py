@@ -8,13 +8,12 @@ including the multinomial coefficient.
 import math
 
 
-def binomial_occupancy(j, load):
-    """Probability that exactly j of the n tags land in a given slot.
+def binomial_occupancy(j, n, L):
+    """Probability that exactly j of the n tags land in a given one of L slots.
 
     Evaluated in log domain so binomial coefficients stay finite for n up
     to ~1e6.
     """
-    n, L = load.n, load.L
     if j < 0 or j > n:
         raise ValueError(f"occupancy {j} outside [0, {n}]")
     if L == 1:

@@ -11,7 +11,6 @@ from dfsa_mpr.estimator import (
     _first_argmax_of_concave,
     _log_posterior_array,
     _posterior_mode,
-    log_posterior,
     map_estimate,
     posterior_curve,
     search_lower_bound,
@@ -41,50 +40,63 @@ class TestObservationInvariants:
         obs = FrameObservation(L=4, E=1, S=2, C=1, identified=5)
         with pytest.raises(ValueError):
             map_estimate(obs, MprOrder(2))
+        with pytest.raises(ValueError):
+            posterior_curve(obs, MprOrder(2), range(5, 20))
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            FrameObservation(L=4.5, E=1.5, S=1, C=2, identified=1),
+            FrameObservation(L=4.0, E=1, S=1, C=2, identified=1),
+            FrameObservation(L=4, E=1, S=True, C=2, identified=1),
+        ],
+        ids=["L=4.5", "L=4.0", "S=True"],
+    )
+    def test_non_integer_tallies_rejected_by_the_estimator(self, obs):
+        # the frame type checks only ranges; the estimator's entry points check types
+        with pytest.raises(ValueError, match="must be an integer"):
+            map_estimate(obs, MprOrder(1))
+        with pytest.raises(ValueError, match="must be an integer"):
+            posterior_curve(obs, MprOrder(1), range(5, 20))
 
 
 class TestLogPosterior:
     def test_empty_frame_empty_population(self):
-        obs = FrameObservation(L=8, E=8, S=0, C=0, identified=0)
-        assert log_posterior(0, obs, MprOrder(1)) == 0.0
+        assert _log_posterior_array(np.array([0]), 8, 8, 0, 0, 1)[0] == 0.0
 
     def test_zero_tags_cannot_succeed(self):
-        obs = FrameObservation(L=8, E=7, S=1, C=0, identified=1)
-        assert log_posterior(0, obs, MprOrder(1)) == -math.inf
+        assert _log_posterior_array(np.array([0]), 8, 7, 1, 0, 1)[0] == -math.inf
 
     def test_zero_tags_cannot_collide(self):
-        obs = FrameObservation(L=8, E=7, S=0, C=1, identified=0)
-        assert log_posterior(0, obs, MprOrder(2)) == -math.inf
+        assert _log_posterior_array(np.array([0]), 8, 7, 0, 1, 2)[0] == -math.inf
 
     def test_negative_candidate_rejected(self):
         with pytest.raises(ValueError):
-            log_posterior(-1, EXAMPLE, MprOrder(1))
+            posterior_curve(EXAMPLE, MprOrder(1), [-1, 21])
 
     def test_frozen_high_precision_value(self):
         # mpmath (40 dps): -12 + 3 log(0.2... ) terms at k=12, M=1
-        assert log_posterior(12, EXAMPLE, MprOrder(1)) == pytest.approx(
+        assert _log_posterior_array(np.array([12]), 10, 1, 3, 6, 1)[0] == pytest.approx(
             -10.7724368786660451, rel=1e-13
         )
 
     def test_matches_oracle_without_constant(self):
+        ks = [5, 15, 21, 40, 120]
         for M in (1, 2, 3):
-            for k in (5, 15, 21, 40, 120):
-                assert log_posterior(k, EXAMPLE, MprOrder(M)) == pytest.approx(
-                    trinomial_log_posterior(
-                        k, 10, 1, 3, 6, M, include_constant=False
-                    ),
+            got = _log_posterior_array(np.array(ks), 10, 1, 3, 6, M)
+            for k, value in zip(ks, got):
+                assert value == pytest.approx(
+                    trinomial_log_posterior(k, 10, 1, 3, 6, M, include_constant=False),
                     rel=1e-10,
                 )
 
     def test_m1_closed_form(self):
         # T_1(x) - 1 = x, so the success factor collapses to k/L
-        obs = FrameObservation(L=16, E=10, S=4, C=2, identified=4)
-        for k in (7, 13, 29, 64):
+        ks = [7, 13, 29, 64]
+        for k, value in zip(ks, _log_posterior_array(np.array(ks), 16, 10, 4, 2, 1)):
             x = k / 16
             expected = -k + 4 * math.log(x) + 2 * math.log(math.exp(x) - 1 - x)
-            assert log_posterior(k, obs, MprOrder(1)) == pytest.approx(
-                expected, rel=1e-12
-            )
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestMapEstimate:
@@ -137,16 +149,17 @@ class TestMapEstimate:
         est = map_estimate(obs, MprOrder(M))
         assert est.n_hat == est.k_max == 10 * L * M
         assert est.saturated
-        assert est.log_posterior_at_mode == log_posterior(est.k_max, obs, MprOrder(M))
-        assert log_posterior(est.k_max - 1, obs, MprOrder(M)) < est.log_posterior_at_mode
+        below, at_cap = _log_posterior_array(np.array([est.k_max - 1, est.k_max]), L, 0, 0, L, M)
+        assert est.log_posterior_at_mode == at_cap
+        assert below < est.log_posterior_at_mode
 
     @pytest.mark.parametrize("M", [170, 171, 400])
     def test_large_mpr_order_finds_a_finite_mode(self, M):
         est = map_estimate(EXAMPLE, MprOrder(M))
         assert est.k_min < est.n_hat < est.k_max
         assert math.isfinite(est.log_posterior_at_mode)
-        for k in (est.n_hat - 1, est.n_hat + 1):
-            assert log_posterior(k, EXAMPLE, MprOrder(M)) < est.log_posterior_at_mode
+        neighbours = _log_posterior_array(np.array([est.n_hat - 1, est.n_hat + 1]), 10, 1, 3, 6, M)
+        assert np.all(neighbours < est.log_posterior_at_mode)
 
     def test_monotone_response_to_collisions(self):
         # moving mass from empty to collided slots never lowers the estimate
@@ -268,9 +281,9 @@ class TestMemo:
         for identified, est in zip((84, 28, 50, 84), estimates):
             k_min = identified + 4 * 17
             assert est.n_hat == brute_force_map(64, 19, 28, 17, 3, k_max=1920, k_min=k_min)
-            assert est.log_posterior_at_mode == log_posterior(
-                est.n_hat, FrameObservation(64, 19, 28, 17, 28), MprOrder(3)
-            )
+            assert est.log_posterior_at_mode == _log_posterior_array(
+                np.array([est.n_hat]), 64, 19, 28, 17, 3
+            )[0]
 
     def test_cold_cache_equals_warm_cache(self):
         rng = np.random.default_rng(11)

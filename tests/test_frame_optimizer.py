@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import verify_stationarity
 from dfsa_mpr.frame_optimizer import next_frame_length, optimal_frame_length
-from dfsa_mpr.prob_model import Load, MprOrder, channel_efficiency
+from dfsa_mpr.prob_model import MprOrder, channel_efficiency
 
 
 def test_single_packet_reduces_to_population():
@@ -34,6 +35,12 @@ def test_zero_population_degenerate_probe():
 def test_negative_population_rejected():
     with pytest.raises(ValueError):
         optimal_frame_length(-1, MprOrder(1))
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_non_integer_population_rejected(n):
+    with pytest.raises(ValueError, match="tag count must be an integer"):
+        optimal_frame_length(n, MprOrder(1))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -72,11 +79,9 @@ def test_stationarity_residual_vanishes(M):
 @pytest.mark.parametrize("n", [50, 100])
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_rounded_optimum_beats_every_integer_length(n, M):
-    mpr = MprOrder(M)
-    length = optimal_frame_length(n, mpr).length
-    u_star = channel_efficiency(Load(n=n, L=length), mpr)
-    for L in range(1, 4 * n + 1):
-        assert u_star >= channel_efficiency(Load(n=n, L=L), mpr)
+    length = optimal_frame_length(n, MprOrder(M)).length
+    u_star = channel_efficiency(n / length, M)
+    assert np.all(u_star >= channel_efficiency(n / np.arange(1, 4 * n + 1), M))
 
 
 def test_optimal_length_monotone_in_population():

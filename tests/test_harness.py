@@ -55,6 +55,12 @@ class TestSpecValidation:
         )
         assert spec.variants == [Variant.FSA, Variant.DFSA]
 
+    def test_from_dict_reports_a_scalar_variants_entry_as_not_a_list(self):
+        # YAML ``variants: dfsa`` is a string, which must not be iterated into 'd', 'f', ...
+        raw = {"tag_counts": [10], "mpr_orders": [1], "initial_frame_lengths": [16]}
+        with pytest.raises(ValueError, match="variants must be a non-empty list, got 'dfsa'"):
+            ExperimentSpec.from_dict({**raw, "variants": "dfsa"})
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict({"tag_counts": [10], "bogus": 1})

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import binomial_occupancy
-from dfsa_mpr.prob_model import (
-    Load,
-    MprOrder,
-    channel_efficiency,
-    log_slot_probabilities,
-    slot_probabilities,
-)
+from dfsa_mpr.prob_model import MprOrder, channel_efficiency, log_slot_probabilities
 
 
 def exact_binomial(j, n, L):
@@ -24,93 +18,91 @@ def exact_binomial(j, n, L):
 
 class TestBinomialOccupancy:
     def test_empty_population(self):
-        assert binomial_occupancy(0, Load(n=0, L=10)) == 1.0
+        assert binomial_occupancy(0, 0, 10) == 1.0
 
     def test_single_tag_single_slot(self):
-        assert binomial_occupancy(1, Load(n=1, L=1)) == 1.0
+        assert binomial_occupancy(1, 1, 1) == 1.0
 
     def test_exact_rational_oracle(self):
-        assert binomial_occupancy(2, Load(n=10, L=5)) == pytest.approx(
+        assert binomial_occupancy(2, 10, 5) == pytest.approx(
             exact_binomial(2, 10, 5), rel=1e-13
         )
 
     @pytest.mark.parametrize("n,L", [(5, 2), (10, 5), (16, 16), (20, 3)])
     def test_exact_oracle_all_occupancies(self, n, L):
         for j in range(n + 1):
-            assert binomial_occupancy(j, Load(n=n, L=L)) == pytest.approx(
+            assert binomial_occupancy(j, n, L) == pytest.approx(
                 exact_binomial(j, n, L), rel=1e-12, abs=1e-300
             )
 
     def test_large_n_stays_finite(self):
-        p = binomial_occupancy(3, Load(n=10**6, L=10**6))
+        p = binomial_occupancy(3, 10**6, 10**6)
         assert 0.0 < p < 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binomial_occupancy(-1, Load(n=5, L=2))
+            binomial_occupancy(-1, 5, 2)
         with pytest.raises(ValueError):
-            binomial_occupancy(6, Load(n=5, L=2))
+            binomial_occupancy(6, 5, 2)
 
 
 class TestSlotProbabilities:
     def test_zero_load(self):
         for L in (1, 10, 128):
-            probs = slot_probabilities(Load(n=0, L=L), MprOrder(3))
-            assert (probs.p_e, probs.p_s, probs.p_c) == (1.0, 0.0, 0.0)
+            probs = np.exp(log_slot_probabilities(0 / L, 3))
+            assert probs.tolist() == [1.0, 0.0, 0.0]
 
     def test_unit_load_single_packet(self):
-        probs = slot_probabilities(Load(n=128, L=128), MprOrder(1))
-        assert probs.p_e == pytest.approx(math.exp(-1), rel=1e-14)
-        assert probs.p_s == pytest.approx(math.exp(-1), rel=1e-14)
-        assert probs.p_c == pytest.approx(1 - 2 * math.exp(-1), rel=1e-12)
+        p_e, p_s, p_c = np.exp(log_slot_probabilities(128 / 128, 1))
+        assert p_e == pytest.approx(math.exp(-1), rel=1e-14)
+        assert p_s == pytest.approx(math.exp(-1), rel=1e-14)
+        assert p_c == pytest.approx(1 - 2 * math.exp(-1), rel=1e-12)
 
     def test_frozen_high_precision_values(self):
         # mpmath (40 dps) evaluation of the truncated-Poisson forms at rho=2, M=4
-        probs = slot_probabilities(Load(n=100, L=50), MprOrder(4))
-        assert probs.p_e == pytest.approx(0.135335283236612692, rel=1e-14)
-        assert probs.p_s == pytest.approx(0.812011699419676151, rel=1e-14)
-        assert probs.p_c == pytest.approx(0.0526530173437111567, rel=1e-12)
+        p_e, p_s, p_c = np.exp(log_slot_probabilities(100 / 50, 4))
+        assert p_e == pytest.approx(0.135335283236612692, rel=1e-14)
+        assert p_s == pytest.approx(0.812011699419676151, rel=1e-14)
+        assert p_c == pytest.approx(0.0526530173437111567, rel=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 64, 128, 1000, 10000])
     @pytest.mark.parametrize("L", [1, 16, 128, 1024])
     @pytest.mark.parametrize("M", [1, 2, 4, 8])
     def test_probabilities_partition_unity(self, n, L, M):
-        probs = slot_probabilities(Load(n=n, L=L), MprOrder(M))
-        for p in (probs.p_e, probs.p_s, probs.p_c):
-            assert 0.0 <= p <= 1.0
-        assert probs.p_e + probs.p_s + probs.p_c == pytest.approx(1.0, abs=1e-12)
+        probs = np.exp(log_slot_probabilities(n / L, M))
+        assert np.all((0.0 <= probs) & (probs <= 1.0))
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,L", [(100, 20), (50, 50), (300, 100)])
     def test_success_monotone_in_mpr_order(self, n, L):
-        prev = slot_probabilities(Load(n=n, L=L), MprOrder(1))
+        _, prev_s, prev_c = np.exp(log_slot_probabilities(n / L, 1))
         for M in range(2, min(n, 12)):
-            cur = slot_probabilities(Load(n=n, L=L), MprOrder(M))
-            assert cur.p_s > prev.p_s
-            assert cur.p_c < prev.p_c
-            prev = cur
+            _, p_s, p_c = np.exp(log_slot_probabilities(n / L, M))
+            assert p_s > prev_s
+            assert p_c < prev_c
+            prev_s, prev_c = p_s, p_c
 
     @pytest.mark.parametrize("n,L", [(100, 100), (500, 200), (1000, 1000), (250, 128)])
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
     def test_poisson_tracks_binomial(self, n, L, M):
         # the approximation regime: both n and L at least 100
-        load = Load(n=n, L=L)
-        binom_success = sum(binomial_occupancy(j, load) for j in range(1, M + 1))
-        assert abs(binom_success - slot_probabilities(load, MprOrder(M)).p_s) <= 0.01
+        binom_success = sum(binomial_occupancy(j, n, L) for j in range(1, M + 1))
+        assert abs(binom_success - channel_efficiency(n / L, M)) <= 0.01
 
 
 def test_expected_success_slots_zero_load():
-    assert 40 * channel_efficiency(Load(n=0, L=40), MprOrder(2)) == 0.0
+    assert 40 * channel_efficiency(0 / 40, 2) == 0.0
 
 
 def test_expected_success_slots_unit_load():
-    assert 77 * channel_efficiency(Load(n=77, L=77), MprOrder(1)) == pytest.approx(
+    assert 77 * channel_efficiency(77 / 77, 1) == pytest.approx(
         77 * math.exp(-1), rel=1e-14
     )
 
 
 def test_expected_success_slots_frozen_value():
     # mpmath (40 dps): 45 * e^(-100/45) * sum_{j=1..4} (100/45)^j / j!
-    assert 45 * channel_efficiency(Load(n=100, L=45), MprOrder(4)) == pytest.approx(
+    assert 45 * channel_efficiency(100 / 45, 4) == pytest.approx(
         36.7519720272886007, rel=1e-14
     )
 
@@ -176,45 +168,37 @@ def test_kernel_value_depends_on_its_own_load_only(M):
 @pytest.mark.parametrize("M", [170, 171, 200, 400])
 @pytest.mark.parametrize("n,L", [(1000, 1), (1, 1000), (400, 2), (5000, 7)])
 def test_large_mpr_order_stays_finite(n, L, M):
-    probs = slot_probabilities(Load(n=n, L=L), MprOrder(M))
-    values = (probs.p_e, probs.p_s, probs.p_c)
-    assert not any(math.isnan(p) for p in values)
-    assert all(0.0 <= p <= 1.0 for p in values)
-    assert sum(values) == pytest.approx(1.0, abs=1e-12)
+    probs = np.exp(log_slot_probabilities(n / L, M))
+    assert not np.isnan(probs).any()
+    assert np.all((0.0 <= probs) & (probs <= 1.0))
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_channel_efficiency_matches_aloha_bound():
-    assert channel_efficiency(Load(n=400, L=400), MprOrder(1)) == pytest.approx(
+    assert channel_efficiency(400 / 400, 1) == pytest.approx(
         math.exp(-1), rel=1e-14
     )
 
 
 def test_channel_efficiency_peak_location_m4():
     # the rounded continuous optimum must win an exhaustive integer scan
-    n, mpr = 1000, MprOrder(4)
+    n = 1000
     L_star = round(n / 24 ** (1 / 4))
-    u_star = channel_efficiency(Load(n=n, L=L_star), mpr)
-    u_best = max(channel_efficiency(Load(n=n, L=L), mpr) for L in range(1, 4 * n + 1))
+    u_star = channel_efficiency(n / L_star, 4)
+    u_best = channel_efficiency(n / np.arange(1, 4 * n + 1), 4).max()
     assert u_star == u_best
 
 
 @pytest.mark.parametrize("n", [10, 100, 1000])
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_efficiency_unimodal_in_frame_length(n, M):
-    mpr = MprOrder(M)
-    u = [channel_efficiency(Load(n=n, L=L), mpr) for L in range(1, 4 * n + 1)]
-    peak = u.index(max(u))
-    for i in range(peak):
-        assert u[i] <= u[i + 1] + 1e-15
-    for i in range(peak, len(u) - 1):
-        assert u[i] >= u[i + 1] - 1e-15
+    u = channel_efficiency(n / np.arange(1, 4 * n + 1), M)
+    peak = int(u.argmax())
+    assert np.all(u[:peak] <= u[1 : peak + 1] + 1e-15)
+    assert np.all(u[peak:-1] >= u[peak + 1 :] - 1e-15)
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        Load(n=-1, L=10)
-    with pytest.raises(ValueError):
-        Load(n=5, L=0)
     with pytest.raises(ValueError):
         MprOrder(0)
 
@@ -223,9 +207,3 @@ def test_invalid_parameters_rejected():
 def test_mpr_order_must_be_an_integer(M):
     with pytest.raises(ValueError):
         MprOrder(M)
-
-
-@pytest.mark.parametrize("n,L", [(5, 2.5), (True, 4), (2.0, 4)])
-def test_load_counts_must_be_integers(n, L):
-    with pytest.raises(ValueError):
-        Load(n=n, L=L)

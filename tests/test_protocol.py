@@ -5,7 +5,7 @@ import pytest
 
 import dfsa_mpr.protocol as protocol
 from conftest import binomial_occupancy
-from dfsa_mpr.prob_model import Load, MprOrder
+from dfsa_mpr.prob_model import MprOrder
 from dfsa_mpr.protocol import (
     NonTerminationError,
     ProtocolConfig,
@@ -52,10 +52,9 @@ def test_outcome_frequencies_match_binomial(M):
     # >= 1e5 simulated slots against the exact binomial class probabilities
     n, L, frames = 100, 100, 1000
     rng = np.random.default_rng(29 + M)
-    load = Load(n=n, L=L)
     exact = {
-        "E": binomial_occupancy(0, load),
-        "S": sum(binomial_occupancy(j, load) for j in range(1, M + 1)),
+        "E": binomial_occupancy(0, n, L),
+        "S": sum(binomial_occupancy(j, n, L) for j in range(1, M + 1)),
     }
     exact["C"] = 1.0 - exact["E"] - exact["S"]
     samples = {"E": [], "S": [], "C": []}
