@@ -4,6 +4,7 @@ from .estimator import (
     FrameObservation,
     MapEstimate,
     map_estimate,
+    population_estimate,
     posterior_curve,
 )
 from .frame_optimizer import (
@@ -46,6 +47,7 @@ __all__ = [
     "map_estimate",
     "next_frame_length",
     "optimal_frame_length",
+    "population_estimate",
     "posterior_curve",
     "render_csv",
     "render_json",

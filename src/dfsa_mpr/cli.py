@@ -16,7 +16,7 @@ from typing import Optional
 
 import yaml
 
-from .estimator import FrameObservation, map_estimate, posterior_curve
+from .estimator import FrameObservation, map_estimate, population_estimate, posterior_curve
 from .harness import (
     ExperimentSpec,
     efficiency_curve,
@@ -58,14 +58,15 @@ def parse_int_list(text: str) -> list[int]:
     return values
 
 
-#: simulate flags that override a config key: (flag, spec key, parser)
+#: simulate flags that override a config key: (flag, spec key, parser, help)
 _OVERRIDES = [
-    ("--tag-counts", "tag_counts", parse_int_list),
-    ("--mpr-orders", "mpr_orders", parse_int_list),
-    ("--initial-frame-lengths", "initial_frame_lengths", parse_int_list),
-    ("--variants", "variants", lambda text: [v.strip() for v in text.split(",") if v.strip()]),
-    ("--trials", "trials", int),
-    ("--seed", "master_seed", int),
+    ("--tag-counts", "tag_counts", parse_int_list, "list or start:stop:step"),
+    ("--mpr-orders", "mpr_orders", parse_int_list, "list of M values"),
+    ("--initial-frame-lengths", "initial_frame_lengths", parse_int_list, "list of L0 values"),
+    ("--variants", "variants", lambda text: [v.strip() for v in text.split(",") if v.strip()],
+     "comma list of fsa/dfsa"),
+    ("--trials", "trials", int, "trials per cell"),
+    ("--seed", "master_seed", int, "master seed"),
 ]
 
 
@@ -73,19 +74,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dfsa-mpr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", parents=[], help="run a Monte Carlo sweep")
+    sim = sub.add_parser("simulate", help="run a Monte Carlo sweep")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--config", help="YAML experiment spec")
-    sim.add_argument("--tag-counts", help="override: list or start:stop:step")
-    sim.add_argument("--mpr-orders", help="override: list of M values")
-    sim.add_argument("--initial-frame-lengths", help="override: list of L0 values")
-    sim.add_argument("--variants", help="override: comma list of fsa/dfsa")
-    sim.add_argument("--trials", help="override: trials per cell")
-    sim.add_argument("--seed", help="override: master seed")
+    for flag, _, _, text in _OVERRIDES:
+        sim.add_argument(flag, help=f"override: {text}")
     sim.add_argument("--out", help="output file (default stdout)")
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
-    sim.add_argument("--parallel", type=int, default=1, help="worker processes")
+    sim.add_argument(
+        "--parallel", type=int, default=1, help="worker processes (at most one per cell and CPU)"
+    )
 
     ana = sub.add_parser("analyze", help="closed-form tables and curves")
+    ana.set_defaults(run=_cmd_analyze)
     mode = ana.add_mutually_exclusive_group(required=True)
     mode.add_argument("--optimal-length", action="store_true")
     mode.add_argument("--efficiency-curve", action="store_true")
@@ -95,11 +96,9 @@ def _build_parser() -> _Parser:
     ana.add_argument("--out", help="output file (default stdout)")
 
     est = sub.add_parser("estimate", help="MAP population estimate for one frame")
-    est.add_argument("--L", type=int, required=True)
-    est.add_argument("--E", type=int, required=True)
-    est.add_argument("--S", type=int, required=True)
-    est.add_argument("--C", type=int, required=True)
-    est.add_argument("--M", type=int, required=True)
+    est.set_defaults(run=_cmd_estimate)
+    for tally in "LESCM":
+        est.add_argument(f"--{tally}", type=int, required=True)
     est.add_argument(
         "--identified",
         type=int,
@@ -118,7 +117,7 @@ def _load_spec(args) -> ExperimentSpec:
         if not isinstance(loaded, dict):
             raise ValueError(f"config {args.config} must be a mapping")
         raw.update(loaded)
-    for flag, key, parse in _OVERRIDES:
+    for flag, key, parse, _ in _OVERRIDES:
         text = getattr(args, flag[2:].replace("-", "_"))
         if text is not None:
             try:
@@ -190,8 +189,7 @@ def _cmd_estimate(args) -> int:
     except ValueError as exc:
         print(f"dfsa-mpr: {exc}", file=sys.stderr)
         return 1
-    # a collision-free frame identifies every transmitting tag exactly
-    n_hat = identified if obs.C == 0 else estimate.n_hat
+    n_hat = population_estimate(obs, mpr)
     print(n_hat)
     if estimate.saturated:
         print(
@@ -219,11 +217,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _cmd_estimate(args)
+    return args.run(args)
 
 
 def entry() -> None:

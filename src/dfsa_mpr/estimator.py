@@ -194,20 +194,38 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     return MapEstimate(n_hat, k_min, k_max, value)
 
 
+def population_estimate(obs: FrameObservation, mpr: MprOrder) -> int:
+    """Tags that replied in the frame: exact without a collision, else the MAP estimate.
+
+    A frame with no collided slot decoded every tag that replied, so its
+    count is ``identified``; any other frame needs ``map_estimate``.
+    """
+    if obs.C == 0:
+        _require_valid_tallies(obs, mpr)
+        return obs.identified
+    return map_estimate(obs, mpr).n_hat
+
+
 def posterior_curve(
     obs: FrameObservation, mpr: MprOrder, k_range: Iterable[int]
 ) -> list[tuple[int, float]]:
     """Posterior over k_range, normalized to sum to 1 (plot data for the MAP curve).
 
+    The candidates must be distinct integers >= 0 (not bools), in any order.
     Exponentiation is max-shifted for stability; deterministic for a given
     range regardless of evaluation order.
     """
     _require_valid_tallies(obs, mpr)
-    ks = np.asarray(list(k_range), dtype=int)
+    candidates = list(k_range)
+    ks = np.array(candidates)
     if ks.size == 0:
         raise ValueError("k_range must be non-empty")
-    if np.any(ks < 0):
-        raise ValueError("candidate populations must be >= 0")
+    # numpy reads a bool among ints as an int, so bools are looked for one by one
+    if ks.dtype.kind not in "iu" or any(isinstance(k, (bool, np.bool_)) for k in candidates):
+        raise ValueError("candidate populations must be integers")
+    del candidates  # a list of Python ints outweighs every array below
+    if ks.min() < 0 or (np.diff(np.sort(ks)) == 0).any():
+        raise ValueError("candidate populations must be distinct and >= 0")
     logp = _log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M)
     peak = float(np.max(logp))
     if peak == -math.inf:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -22,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .estimator import map_estimate
+from .estimator import population_estimate
 from .frame_optimizer import optimal_frame_length
 from .prob_model import MprOrder, channel_efficiency, require_count
 from .protocol import ProtocolConfig, Variant, run_interrogation
@@ -100,22 +101,6 @@ def _trial_rng(master_seed: int, key: CellKey, trial: int) -> np.random.Generato
     return np.random.default_rng(seq)
 
 
-def _first_frame_estimate(result, mpr: MprOrder) -> int:
-    """Population estimate from the first frame's tallies.
-
-    Uses the recorded MAP estimate where the protocol produced one; a frame
-    without collisions identifies every transmitting tag, so the exact count
-    is preferred there. FSA records no estimate, so the MAP step is applied
-    to its observation directly for the accuracy metric.
-    """
-    first = result.frames[0]
-    if first.observation.C == 0:
-        return first.observation.identified
-    if first.estimate is not None:
-        return first.estimate.n_hat
-    return map_estimate(first.observation, mpr).n_hat
-
-
 def _std(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
@@ -129,18 +114,14 @@ def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics
     config = ProtocolConfig(
         n=n, mpr=mpr, initial_frame_length=l0, variant=Variant(variant_value)
     )
-    read_rates = np.empty(trials)
     delays = np.empty(trials)
-    errors = np.empty(trials)
+    estimates = np.empty(trials)
     for trial in range(trials):
-        rng = _trial_rng(master_seed, key, trial)
-        result = run_interrogation(config, rng)
-        read_rates[trial] = n / result.total_slots
+        result = run_interrogation(config, _trial_rng(master_seed, key, trial))
         delays[trial] = result.total_slots
-        if n > 0:
-            errors[trial] = abs(_first_frame_estimate(result, mpr) - n) / n * 100.0
-        else:
-            errors[trial] = math.nan
+        estimates[trial] = population_estimate(result.frames[0].observation, mpr)
+    read_rates = n / delays
+    errors = np.abs(estimates - n) / n * 100.0 if n > 0 else np.full(trials, math.nan)
     metrics = AggregateMetrics(
         trials=trials,
         read_rate_mean=float(read_rates.mean()),
@@ -160,7 +141,9 @@ def run_experiment(
     cells = spec.cells()
     jobs = [(key, spec.trials, spec.master_seed) for key in cells]
     results: dict[CellKey, AggregateMetrics] = {}
-    with ProcessPoolExecutor(parallel) if parallel > 1 else nullcontext() as pool:
+    # no more workers than cells or CPUs; with one, the cells run in this process
+    workers = min(parallel, len(cells), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # both maps yield in job order, so the rows stay sorted
         cell_map = pool.map if pool else map
         for i, (key, metrics) in enumerate(cell_map(_run_cell, jobs), 1):

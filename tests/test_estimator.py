@@ -12,6 +12,7 @@ from dfsa_mpr.estimator import (
     _log_posterior_array,
     _posterior_mode,
     map_estimate,
+    population_estimate,
     posterior_curve,
     search_lower_bound,
 )
@@ -321,6 +322,32 @@ class TestPosteriorCurve:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             posterior_curve(EXAMPLE, MprOrder(1), [])
+
+    @pytest.mark.parametrize("k_range", [[20.7, 21.2], [21, 21], [True], [21, True]])
+    def test_non_integer_or_repeated_candidates_rejected(self, k_range):
+        with pytest.raises(ValueError):
+            posterior_curve(EXAMPLE, MprOrder(1), k_range)
+
+    def test_distinct_integers_in_any_order(self):
+        forward = dict(posterior_curve(EXAMPLE, MprOrder(1), range(20, 23)))
+        shuffled = posterior_curve(EXAMPLE, MprOrder(1), [22, 20, 21])
+        assert [k for k, _ in shuffled] == [22, 20, 21]
+        assert dict(shuffled) == pytest.approx(forward, rel=1e-15)
+
+
+class TestPopulationEstimate:
+    def test_collision_free_frame_is_counted_exactly(self):
+        clean = FrameObservation(L=10, E=0, S=10, C=0, identified=10)
+        assert map_estimate(clean, MprOrder(2)).n_hat == 14
+        assert population_estimate(clean, MprOrder(2)) == 10
+
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    def test_collided_frame_takes_the_map_estimate(self, M):
+        assert population_estimate(EXAMPLE, MprOrder(M)) == map_estimate(EXAMPLE, MprOrder(M)).n_hat
+
+    def test_collision_free_frame_is_checked(self):
+        with pytest.raises(ValueError):
+            population_estimate(FrameObservation(L=10, E=6, S=4, C=0, identified=9), MprOrder(2))
 
 
 def test_search_lower_bound_counts_collision_minimum():

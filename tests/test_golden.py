@@ -3,11 +3,13 @@
 ``data/optimal_length.csv`` is ``analyze --optimal-length`` over n = 50..5000
 step 50 and M = 1..8; it predates the log-domain slot kernel and must never
 move. ``data/paper_sweep_20.csv`` is ``simulate`` on configs/paper_sweep.yaml
-at 20 trials and seed 1; a change that moves it changes simulation output and
-must say so.
+at 20 trials and seed 1, run at ``--parallel`` 1 and 2; a change that moves it
+changes simulation output and must say so.
 """
 
 from pathlib import Path
+
+import pytest
 
 from dfsa_mpr.cli import main
 
@@ -23,9 +25,10 @@ def test_optimal_length_table_golden(tmp_path):
     assert out.read_bytes() == (DATA / "optimal_length.csv").read_bytes()
 
 
-def test_paper_sweep_golden(tmp_path, capsys):
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_paper_sweep_golden(tmp_path, capsys, parallel):
     out = tmp_path / "sweep.csv"
     code = main(["simulate", "--config", str(ROOT / "configs" / "paper_sweep.yaml"),
-                 "--trials", "20", "--seed", "1", "--out", str(out)])
+                 "--trials", "20", "--seed", "1", "--parallel", parallel, "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (DATA / "paper_sweep_20.csv").read_bytes()

@@ -113,6 +113,33 @@ class TestRunExperiment:
         spec = small_spec()
         assert run_experiment(spec, parallel=2) == run_experiment(spec)
 
+    @pytest.mark.parametrize(
+        "parallel, cpus, workers",
+        [(5000, 2, 2), (5000, 64, 4), (3, 8, 3), (2, None, None), (2, 1, None), (1, 8, None)],
+    )
+    def test_workers_are_capped_by_cells_and_cpus(self, monkeypatch, parallel, cpus, workers):
+        # the fake pool records its size and runs the cells in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        spec = small_spec(trials=2)  # 4 cells
+        assert run_experiment(spec, parallel=parallel) == run_experiment(spec, parallel=1)
+        assert sizes == ([] if workers is None else [workers])
+
     def test_estimation_error_small_when_frames_clean(self):
         # M=4 at tiny load: first frames rarely collide, error ~ 0
         table = run_experiment(
