@@ -186,10 +186,15 @@ def _cmd_estimate(args) -> int:
         )
         mpr = MprOrder(args.M)
         estimate = map_estimate(obs, mpr)
+        n_hat = population_estimate(obs, mpr)
+        k_max = args.curve_k_max
+        if k_max is None:
+            k_max = max(2 * n_hat + 10, estimate.k_min + 100)
+        if args.curve_out and k_max < estimate.k_min:
+            raise ValueError(f"curve k max {k_max} below lower bound {estimate.k_min}")
     except ValueError as exc:
         print(f"dfsa-mpr: {exc}", file=sys.stderr)
         return 1
-    n_hat = population_estimate(obs, mpr)
     print(n_hat)
     if estimate.saturated:
         print(
@@ -198,14 +203,7 @@ def _cmd_estimate(args) -> int:
             file=sys.stderr,
         )
     if args.curve_out:
-        k_min = estimate.k_min
-        k_max = args.curve_k_max
-        if k_max is None:
-            k_max = max(2 * n_hat + 10, k_min + 100)
-        if k_max < k_min:
-            print(f"dfsa-mpr: curve k max {k_max} below lower bound {k_min}", file=sys.stderr)
-            return 1
-        curve = posterior_curve(obs, mpr, range(k_min, k_max + 1))
+        curve = posterior_curve(obs, mpr, range(estimate.k_min, k_max + 1))
         rows = "".join(f"{k},{prob:.6g}\n" for k, prob in curve)
         return _write("k,probability\n" + rows, args.curve_out)
     return 0

@@ -73,10 +73,13 @@ _MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class FrameObservation:
-    """Slot tallies of one interrogation frame.
+    """Slot tallies of one interrogation frame, the record a simulated run keeps.
 
     ``identified`` is the total number of tags decoded across the S
     successful slots; it feeds next-frame sizing but not the posterior.
+    Building one checks every rule that does not need M: integer (not bool)
+    tallies, L >= 1 and the rest >= 0, E + S + C = L, and S <= identified,
+    with both zero together. The estimator adds identified <= S*M.
     """
 
     L: int
@@ -86,10 +89,11 @@ class FrameObservation:
     identified: int
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise ValueError(f"frame length must be >= 1, got {self.L}")
-        if min(self.E, self.S, self.C) < 0:
-            raise ValueError("slot tallies must be non-negative")
+        require_count("frame length", self.L, 1)
+        require_count("empty slots", self.E, 0)
+        require_count("successful slots", self.S, 0)
+        require_count("collided slots", self.C, 0)
+        require_count("identified tags", self.identified, 0)
         if self.E + self.S + self.C != self.L:
             raise ValueError(
                 f"tallies E+S+C = {self.E + self.S + self.C} != frame length {self.L}"
@@ -128,17 +132,10 @@ def _log_posterior_array(ks: np.ndarray, L: int, E: int, S: int, C: int, M: int)
 
 
 def _require_valid_tallies(obs: FrameObservation, mpr: MprOrder) -> None:
-    """Raise ValueError unless the tallies are integers (not bools) whose
-    decoded tags fit in the S slots at MPR order M.
+    """Raise ValueError unless the decoded tags fit in the S slots at MPR order M.
 
-    ``FrameObservation`` checks only its ranges, because it is built once
-    per simulated frame; the public estimator entry points check the rest.
+    ``FrameObservation`` checks every rule that does not need M.
     """
-    require_count("frame length", obs.L, 1)
-    require_count("empty slots", obs.E, 0)
-    require_count("successful slots", obs.S, 0)
-    require_count("collided slots", obs.C, 0)
-    require_count("identified tags", obs.identified, 0)
     if obs.identified > obs.S * mpr.M:
         raise ValueError(
             f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {mpr.M}"

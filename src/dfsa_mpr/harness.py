@@ -119,7 +119,7 @@ def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics
     for trial in range(trials):
         result = run_interrogation(config, _trial_rng(master_seed, key, trial))
         delays[trial] = result.total_slots
-        estimates[trial] = population_estimate(result.frames[0].observation, mpr)
+        estimates[trial] = population_estimate(result.frames[0], mpr)
     read_rates = n / delays
     errors = np.abs(estimates - n) / n * 100.0 if n > 0 else np.full(trials, math.nan)
     metrics = AggregateMetrics(
@@ -177,12 +177,13 @@ def render_csv(table: Mapping[CellKey, AggregateMetrics]) -> str:
 
 
 def render_json(table: Mapping[CellKey, AggregateMetrics]) -> str:
+    """Strict JSON: a non-finite metric (the error of an n = 0 cell) is null."""
     rows = _rows(table)
     for row in rows:
         for col, value in row.items():
             if isinstance(value, float):
-                row[col] = float(f"{value:.6g}")
-    return json.dumps(rows, indent=2) + "\n"
+                row[col] = float(f"{value:.6g}") if math.isfinite(value) else None
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:

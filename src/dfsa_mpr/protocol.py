@@ -8,17 +8,19 @@ the next one for the MAP estimate minus the tags identified
 (``next_frame_length``). Interrogation ends at the first frame with no
 collided slot, when every tag has been identified; a run that reaches
 ``FRAME_SAFETY_CAP`` frames first raises ``NonTerminationError``.
+
+A run's record is each frame's ``FrameObservation`` and the total slot
+count; DFSA's estimate is used to size the next frame and is not kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from .estimator import FrameObservation, MapEstimate, map_estimate
+from .estimator import FrameObservation, map_estimate
 from .frame_optimizer import next_frame_length
 from .prob_model import MprOrder, require_count
 
@@ -48,19 +50,11 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class FrameRecord:
-    """A frame's tallies (its length is ``observation.L``) and DFSA's estimate.
-
-    The tags left after it are n minus the running sum of ``identified``.
-    """
-
-    observation: FrameObservation
-    estimate: Optional[MapEstimate]  # absent for FSA and for clean final frames
-
-
-@dataclass(frozen=True)
 class InterrogationResult:
-    frames: list[FrameRecord]
+    """Each frame's tallies, in order; the tags left after a frame are n
+    minus the running sum of ``identified``."""
+
+    frames: list[FrameObservation]
     total_slots: int
 
 
@@ -85,7 +79,7 @@ def run_frame(
 
 
 def run_interrogation(
-    config: ProtocolConfig, rng: Optional[np.random.Generator] = None
+    config: ProtocolConfig, rng: np.random.Generator | None = None
 ) -> InterrogationResult:
     """Interrogate until a frame has no collisions; returns the full trajectory.
 
@@ -95,21 +89,18 @@ def run_interrogation(
         rng = np.random.default_rng(0)
     tags = config.n
     frame_length = config.initial_frame_length
-    frames: list[FrameRecord] = []
+    frames: list[FrameObservation] = []
     total_slots = 0
 
     while True:
         obs = run_frame(tags, frame_length, config.mpr, rng)
         tags -= obs.identified
         total_slots += frame_length
+        frames.append(obs)
 
-        estimate: Optional[MapEstimate] = None
         if config.variant is Variant.DFSA and obs.C > 0:
-            estimate = map_estimate(obs, config.mpr)
-            frame_length = next_frame_length(
-                estimate.n_hat, obs.identified, config.mpr
-            ).length
-        frames.append(FrameRecord(observation=obs, estimate=estimate))
+            n_hat = map_estimate(obs, config.mpr).n_hat
+            frame_length = next_frame_length(n_hat, obs.identified, config.mpr).length
 
         if obs.C == 0:
             return InterrogationResult(frames=frames, total_slots=total_slots)

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 import yaml
@@ -52,10 +53,22 @@ def test_estimate_curve_output(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
-    rows = list(csv.DictReader(curve.open()))
+    rows = list(csv.DictReader(curve.read_text().splitlines()))
     assert rows[0].keys() == {"k", "probability"}
     total = sum(float(r["probability"]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-4)
+
+
+def test_estimate_curve_k_max_below_lower_bound_prints_nothing(tmp_path, capsys):
+    # k_min = 3 + (2 + 1) * 6 = 21
+    code = main(
+        ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", "2",
+         "--curve-out", str(tmp_path / "curve.csv"), "--curve-k-max", "20"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dfsa-mpr: curve k max 20 below lower bound 21\n"
 
 
 @pytest.mark.parametrize("M", ["170", "400"])
@@ -82,7 +95,7 @@ def test_analyze_optimal_length(tmp_path, capsys):
          "--out", str(out)]
     )
     assert code == 0
-    rows = {int(r["M"]): int(r["length"]) for r in csv.DictReader(out.open())}
+    rows = {int(r["M"]): int(r["length"]) for r in csv.DictReader(out.read_text().splitlines())}
     assert rows == {1: 100, 2: 71, 4: 45}
 
 
@@ -127,7 +140,7 @@ def test_simulate_with_config_and_overrides(tmp_path, capsys):
         ["simulate", "--config", str(config), "--trials", "10", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [int(r["n"]) for r in rows] == [30, 60]
     assert all(r["trials"] == "10" for r in rows)  # flag overrode the file
 
@@ -144,14 +157,21 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_simulate_stdout_json(capsys):
+    # strict JSON: n = 0 has no estimation error, written as null, not bare NaN
     code = main(
-        ["simulate", "--tag-counts", "10", "--mpr-orders", "1",
+        ["simulate", "--tag-counts", "0,10", "--mpr-orders", "1",
          "--initial-frame-lengths", "8", "--variants", "dfsa",
          "--trials", "5", "--seed", "1", "--format", "json"]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert out.lstrip().startswith("[")
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [row["n"] for row in rows] == [0, 10]
+    assert rows[0]["est_err_pct_mean"] is None
+    assert isinstance(rows[1]["est_err_pct_mean"], float)
 
 
 def test_simulate_bad_config_exit_1(tmp_path, capsys):

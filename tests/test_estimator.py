@@ -45,20 +45,22 @@ class TestObservationInvariants:
             posterior_curve(obs, MprOrder(2), range(5, 20))
 
     @pytest.mark.parametrize(
-        "obs",
+        "tallies",
         [
-            FrameObservation(L=4.5, E=1.5, S=1, C=2, identified=1),
-            FrameObservation(L=4.0, E=1, S=1, C=2, identified=1),
-            FrameObservation(L=4, E=1, S=True, C=2, identified=1),
+            dict(L=4.5, E=1.5, S=1, C=2, identified=1),
+            dict(L=4.0, E=1, S=1, C=2, identified=1),
+            dict(L=4, E=1, S=True, C=2, identified=1),
         ],
         ids=["L=4.5", "L=4.0", "S=True"],
     )
-    def test_non_integer_tallies_rejected_by_the_estimator(self, obs):
-        # the frame type checks only ranges; the estimator's entry points check types
+    def test_non_integer_tallies_rejected_by_the_estimator(self, tallies):
         with pytest.raises(ValueError, match="must be an integer"):
-            map_estimate(obs, MprOrder(1))
-        with pytest.raises(ValueError, match="must be an integer"):
-            posterior_curve(obs, MprOrder(1), range(5, 20))
+            FrameObservation(**tallies)
+
+    def test_numpy_integer_tallies_accepted(self):
+        obs = FrameObservation(*(np.int64(v) for v in (10, 1, 3, 6, 3)))
+        assert obs == EXAMPLE
+        assert map_estimate(obs, MprOrder(1)) == map_estimate(EXAMPLE, MprOrder(1))
 
 
 class TestLogPosterior:

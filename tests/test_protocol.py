@@ -5,6 +5,7 @@ import pytest
 
 import dfsa_mpr.protocol as protocol
 from conftest import binomial_occupancy
+from dfsa_mpr.estimator import FrameObservation, map_estimate
 from dfsa_mpr.prob_model import MprOrder
 from dfsa_mpr.protocol import (
     NonTerminationError,
@@ -74,8 +75,8 @@ def test_no_tags_terminates_immediately():
     result = run_interrogation(config)
     assert len(result.frames) == 1
     assert result.total_slots == 32
-    assert sum(f.observation.identified for f in result.frames) == 0
-    assert result.frames[-1].observation.C == 0
+    assert sum(f.identified for f in result.frames) == 0
+    assert result.frames[-1].C == 0
 
 
 def test_single_tag_cannot_collide():
@@ -83,8 +84,8 @@ def test_single_tag_cannot_collide():
         config = ProtocolConfig(n=1, mpr=MprOrder(M), initial_frame_length=16)
         result = run_interrogation(config, np.random.default_rng(1))
         assert len(result.frames) == 1
-        assert sum(f.observation.identified for f in result.frames) == 1
-        assert result.frames[-1].observation.C == 0
+        assert sum(f.identified for f in result.frames) == 1
+        assert result.frames[-1].C == 0
 
 
 @pytest.mark.parametrize("variant", [Variant.FSA, Variant.DFSA])
@@ -94,12 +95,11 @@ def test_interrogation_invariants(variant, n, M, L0):
         n=n, mpr=MprOrder(M), initial_frame_length=L0, variant=variant
     )
     result = run_interrogation(config, np.random.default_rng(17))
-    assert sum(f.observation.identified for f in result.frames) == n
-    assert result.total_slots == sum(f.observation.L for f in result.frames)
-    assert result.frames[-1].observation.C == 0
+    assert sum(f.identified for f in result.frames) == n
+    assert result.total_slots == sum(f.L for f in result.frames)
+    assert result.frames[-1].C == 0
     remaining = n
-    for record in result.frames:
-        obs = record.observation
+    for obs in result.frames:
         assert obs.E + obs.S + obs.C == obs.L
         assert obs.S <= obs.identified <= obs.S * M
         remaining -= obs.identified
@@ -121,36 +121,50 @@ def test_config_rejects_bad_counts(n, M, L0):
         ProtocolConfig(n=n, mpr=MprOrder(M), initial_frame_length=L0)
 
 
-def test_fsa_never_estimates_or_adapts():
+def _spy_on_map_estimate(monkeypatch) -> list[tuple[FrameObservation, int]]:
+    """Record each frame the protocol estimates, with the n_hat it got."""
+    calls = []
+
+    def spy(obs, mpr):
+        estimate = map_estimate(obs, mpr)
+        calls.append((obs, estimate.n_hat))
+        return estimate
+
+    monkeypatch.setattr(protocol, "map_estimate", spy)
+    return calls
+
+
+def test_fsa_never_estimates_or_adapts(monkeypatch):
+    calls = _spy_on_map_estimate(monkeypatch)
     config = ProtocolConfig(
         n=300, mpr=MprOrder(1), initial_frame_length=64, variant=Variant.FSA
     )
     result = run_interrogation(config, np.random.default_rng(2))
-    assert all(f.estimate is None for f in result.frames)
-    assert all(f.observation.L == 64 for f in result.frames)
+    assert calls == []
+    assert all(f.L == 64 for f in result.frames)
 
 
-def test_dfsa_estimates_every_collided_frame():
+def test_dfsa_estimates_every_collided_frame(monkeypatch):
+    calls = _spy_on_map_estimate(monkeypatch)
     config = ProtocolConfig(n=300, mpr=MprOrder(2), initial_frame_length=128)
     result = run_interrogation(config, np.random.default_rng(2))
-    for record in result.frames:
-        if record.observation.C > 0:
-            assert record.estimate is not None
-            assert record.estimate.n_hat >= record.observation.identified
-        else:
-            assert record.estimate is None
+    collided = [f for f in result.frames if f.C > 0]
+    assert collided
+    assert [obs for obs, _ in calls] == collided
+    for obs, n_hat in calls:
+        assert n_hat >= obs.identified
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_dfsa_estimate_meets_the_consistency_bound(M):
     # the next frame is sized for estimate - identified tags, never fewer than M+1
-    config = ProtocolConfig(n=300, mpr=MprOrder(M), initial_frame_length=64)
+    mpr = MprOrder(M)
+    config = ProtocolConfig(n=300, mpr=mpr, initial_frame_length=64)
     for seed in range(20):
         result = run_interrogation(config, np.random.default_rng(seed))
-        for record in result.frames:
-            obs = record.observation
+        for obs in result.frames:
             if obs.C > 0:
-                assert record.estimate.n_hat - obs.identified >= (M + 1) * obs.C
+                assert map_estimate(obs, mpr).n_hat - obs.identified >= (M + 1) * obs.C
 
 
 def test_identical_seed_identical_trajectory():
