@@ -4,8 +4,9 @@ Exit codes: 0 on success, 1 on bad configuration or arguments or an output
 path that cannot be written, 2 on a runtime diagnostic (e.g. the
 non-termination safety cap). Errors are one ``dfsa-mpr`` line on stderr (after
 the usage line, for argparse errors), never a traceback. ``simulate`` checks
-its whole spec and opens its output file before the sweep starts. Progress
-goes to stderr; data goes to the output file or stdout.
+its whole spec and opens its output file before the sweep starts, and
+``estimate`` opens its curve file before it prints. Progress goes to stderr;
+data goes to the output file or stdout.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ def _cmd_estimate(args) -> int:
             raise ValueError(f"curve k max {k_max} below lower bound {estimate.k_min}")
     except ValueError as exc:
         print(f"dfsa-mpr: {exc}", file=sys.stderr)
+        return 1
+    # as in simulate: a curve path that cannot be written fails before any output
+    if args.curve_out and _write("", args.curve_out):
         return 1
     print(n_hat)
     if estimate.saturated:

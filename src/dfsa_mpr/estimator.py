@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class MapEstimate:
     n_hat: int
     k_min: int
     k_max: int
-    log_posterior_at_mode: float
 
     @property
     def saturated(self) -> bool:
@@ -152,8 +151,8 @@ def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
 
 def _first_argmax_of_concave(
     evaluate: Callable[[np.ndarray], np.ndarray], lo: int, hi: int
-) -> tuple[int, float]:
-    """First argmax, and its value, over [lo, hi] of a function concave on the integers.
+) -> int:
+    """First argmax over [lo, hi] of a function concave on the integers.
 
     ``evaluate`` maps an array of candidates to their values; it is called
     once per window (see the module docstring).
@@ -164,17 +163,20 @@ def _first_argmax_of_concave(
         values = evaluate(ks)
         i = int(values.argmax())
         if i < ks.size - 1 or lo + i == hi:
-            return lo + i, float(values[i])
+            return lo + i
         lo, width = lo + i, width * _WINDOW_GROWTH
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _posterior_mode(L: int, E: int, S: int, C: int, M: int, k_min: int) -> tuple[int, float]:
-    """First argmax over [k_min, 10 L M], and its value, memoized per process."""
+def _posterior_mode(L: int, E: int, S: int, C: int, M: int, k_min: int) -> int:
+    """First argmax over [k_min, 10 L M], memoized per process."""
     k_max = 10 * L * M
     # P(X > M)^L rises strictly in k when every slot collided: the argmax is the cap
-    lo = k_max if C == L else k_min
-    return _first_argmax_of_concave(lambda ks: _log_posterior_array(ks, L, E, S, C, M), lo, k_max)
+    if C == L:
+        return k_max
+    return _first_argmax_of_concave(
+        lambda ks: _log_posterior_array(ks, L, E, S, C, M), k_min, k_max
+    )
 
 
 def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
@@ -187,8 +189,7 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     _require_valid_tallies(obs, mpr)
     k_min = search_lower_bound(obs, mpr)
     k_max = 10 * obs.L * mpr.M
-    n_hat, value = _posterior_mode(obs.L, obs.E, obs.S, obs.C, mpr.M, k_min)
-    return MapEstimate(n_hat, k_min, k_max, value)
+    return MapEstimate(_posterior_mode(obs.L, obs.E, obs.S, obs.C, mpr.M, k_min), k_min, k_max)
 
 
 def population_estimate(obs: FrameObservation, mpr: MprOrder) -> int:
@@ -204,25 +205,17 @@ def population_estimate(obs: FrameObservation, mpr: MprOrder) -> int:
 
 
 def posterior_curve(
-    obs: FrameObservation, mpr: MprOrder, k_range: Iterable[int]
+    obs: FrameObservation, mpr: MprOrder, k_range: range
 ) -> list[tuple[int, float]]:
     """Posterior over k_range, normalized to sum to 1 (plot data for the MAP curve).
 
-    The candidates must be distinct integers >= 0 (not bools), in any order.
-    Exponentiation is max-shifted for stability; deterministic for a given
-    range regardless of evaluation order.
+    ``k_range`` must be a non-empty ``range`` of candidates >= 0, in either
+    direction. Exponentiation is max-shifted for stability.
     """
     _require_valid_tallies(obs, mpr)
-    candidates = list(k_range)
-    ks = np.array(candidates)
-    if ks.size == 0:
-        raise ValueError("k_range must be non-empty")
-    # numpy reads a bool among ints as an int, so bools are looked for one by one
-    if ks.dtype.kind not in "iu" or any(isinstance(k, (bool, np.bool_)) for k in candidates):
-        raise ValueError("candidate populations must be integers")
-    del candidates  # a list of Python ints outweighs every array below
-    if ks.min() < 0 or (np.diff(np.sort(ks)) == 0).any():
-        raise ValueError("candidate populations must be distinct and >= 0")
+    if not isinstance(k_range, range) or not k_range or min(k_range[0], k_range[-1]) < 0:
+        raise ValueError("k_range must be a non-empty range of candidates >= 0")
+    ks = np.arange(k_range.start, k_range.stop, k_range.step)
     logp = _log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M)
     peak = float(np.max(logp))
     if peak == -math.inf:

@@ -62,10 +62,8 @@ def run_frame(
     tags_remaining: int, frame_length: int, mpr: MprOrder, rng: np.random.Generator
 ) -> FrameObservation:
     """Simulate one frame: uniform slot choice per tag, threshold-M slot resolution."""
-    if tags_remaining < 0:
-        raise ValueError(f"tag count must be >= 0, got {tags_remaining}")
-    if frame_length < 1:
-        raise ValueError(f"frame length must be >= 1, got {frame_length}")
+    require_count("tag count", tags_remaining, 0)
+    require_count("frame length", frame_length, 1)
     slots = rng.integers(0, frame_length, size=tags_remaining)
     counts = np.bincount(slots, minlength=frame_length)
     empty = int(np.count_nonzero(counts == 0))
@@ -78,15 +76,9 @@ def run_frame(
     )
 
 
-def run_interrogation(
-    config: ProtocolConfig, rng: np.random.Generator | None = None
-) -> InterrogationResult:
-    """Interrogate until a frame has no collisions; returns the full trajectory.
-
-    Without ``rng`` the run draws from ``np.random.default_rng(0)``.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
+def run_interrogation(config: ProtocolConfig, rng: np.random.Generator) -> InterrogationResult:
+    """Interrogate until a frame has no collisions, drawing every slot choice
+    from ``rng``; returns the full trajectory."""
     tags = config.n
     frame_length = config.initial_frame_length
     frames: list[FrameObservation] = []

@@ -182,7 +182,8 @@ def test_simulate_bad_config_exit_1(tmp_path, capsys):
 
 
 def _assert_one_error_line(capsys):
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1, err
@@ -245,7 +246,8 @@ def test_analyze_empty_input_is_one_error_line(argv, capsys):
     ],
 )
 def test_output_into_missing_directory_is_one_error_line(argv, tmp_path, capsys):
-    # simulate fails before its sweep: no progress line precedes the error
+    # simulate fails before its sweep (no progress line precedes the error),
+    # and estimate before it prints its estimate
     assert main([*argv, str(tmp_path / "missing" / "out")]) == 1
     _assert_one_error_line(capsys)
 

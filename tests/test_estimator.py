@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_map, trinomial_log_posterior
+from dfsa_mpr import estimator
 from dfsa_mpr.estimator import (
     FrameObservation,
     _first_argmax_of_concave,
@@ -75,7 +76,7 @@ class TestLogPosterior:
 
     def test_negative_candidate_rejected(self):
         with pytest.raises(ValueError):
-            posterior_curve(EXAMPLE, MprOrder(1), [-1, 21])
+            posterior_curve(EXAMPLE, MprOrder(1), range(-1, 22))
 
     def test_frozen_high_precision_value(self):
         # mpmath (40 dps): -12 + 3 log(0.2... ) terms at k=12, M=1
@@ -152,17 +153,31 @@ class TestMapEstimate:
         est = map_estimate(obs, MprOrder(M))
         assert est.n_hat == est.k_max == 10 * L * M
         assert est.saturated
-        below, at_cap = _log_posterior_array(np.array([est.k_max - 1, est.k_max]), L, 0, 0, L, M)
-        assert est.log_posterior_at_mode == at_cap
-        assert below < est.log_posterior_at_mode
+        below, at_cap = _log_posterior_array(np.array([est.k_max - 1, est.n_hat]), L, 0, 0, L, M)
+        assert below < at_cap
+
+    def test_all_collided_frame_skips_the_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimator, "_log_posterior_array", lambda *args: calls.append(args))
+        _posterior_mode.cache_clear()
+        est = map_estimate(FrameObservation(L=10, E=0, S=0, C=10, identified=0), MprOrder(3))
+        assert (est.n_hat, calls) == (300, [])
+
+    def test_all_collided_frame_at_a_huge_mpr_order_returns_the_cap(self):
+        # the kernel's per-M constants for M = 10**8 would take about a minute
+        est = map_estimate(FrameObservation(L=10, E=0, S=0, C=10, identified=0), MprOrder(10**8))
+        assert est.n_hat == est.k_max == 10**10
+        assert est.saturated
 
     @pytest.mark.parametrize("M", [170, 171, 400])
     def test_large_mpr_order_finds_a_finite_mode(self, M):
         est = map_estimate(EXAMPLE, MprOrder(M))
         assert est.k_min < est.n_hat < est.k_max
-        assert math.isfinite(est.log_posterior_at_mode)
-        neighbours = _log_posterior_array(np.array([est.n_hat - 1, est.n_hat + 1]), 10, 1, 3, 6, M)
-        assert np.all(neighbours < est.log_posterior_at_mode)
+        below, mode, above = _log_posterior_array(
+            np.array([est.n_hat - 1, est.n_hat, est.n_hat + 1]), 10, 1, 3, 6, M
+        )
+        assert math.isfinite(mode)
+        assert below < mode and above < mode
 
     def test_monotone_response_to_collisions(self):
         # moving mass from empty to collided slots never lowers the estimate
@@ -247,14 +262,14 @@ class TestWindowSearch:
             calls.append(ks.size)
             return -np.abs(ks - (lo + 63.5))
 
-        assert _first_argmax_of_concave(evaluate, lo, 10**6) == (lo + 63, -0.5)
+        assert _first_argmax_of_concave(evaluate, lo, 10**6) == lo + 63
         assert calls == [64, 256]
 
     def test_plateau_returns_its_first_candidate(self):
-        assert _first_argmax_of_concave(lambda ks: np.zeros(ks.size), 5, 10**6) == (5, 0.0)
+        assert _first_argmax_of_concave(lambda ks: np.zeros(ks.size), 5, 10**6) == 5
 
     def test_rising_function_stops_at_the_upper_end(self):
-        assert _first_argmax_of_concave(lambda ks: ks.astype(float), 0, 1000) == (1000, 1000.0)
+        assert _first_argmax_of_concave(lambda ks: ks.astype(float), 0, 1000) == 1000
 
 
 class TestMemo:
@@ -284,9 +299,8 @@ class TestMemo:
         for identified, est in zip((84, 28, 50, 84), estimates):
             k_min = identified + 4 * 17
             assert est.n_hat == brute_force_map(64, 19, 28, 17, 3, k_max=1920, k_min=k_min)
-            assert est.log_posterior_at_mode == _log_posterior_array(
-                np.array([est.n_hat]), 64, 19, 28, 17, 3
-            )[0]
+            values = _log_posterior_array(np.arange(k_min, 1921), 64, 19, 28, 17, 3)
+            assert values[est.n_hat - k_min] == values.max()
 
     def test_cold_cache_equals_warm_cache(self):
         rng = np.random.default_rng(11)
@@ -308,7 +322,7 @@ class TestMemo:
 
 class TestPosteriorCurve:
     def test_single_point_is_certain(self):
-        curve = posterior_curve(EXAMPLE, MprOrder(1), [21])
+        curve = posterior_curve(EXAMPLE, MprOrder(1), range(21, 22))
         assert curve == [(21, 1.0)]
 
     def test_normalization(self):
@@ -322,19 +336,23 @@ class TestPosteriorCurve:
         assert k_peak == est.n_hat
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            posterior_curve(EXAMPLE, MprOrder(1), [])
+        for k_range in (range(0), range(21, 21)):
+            with pytest.raises(ValueError, match="non-empty range"):
+                posterior_curve(EXAMPLE, MprOrder(1), k_range)
 
     @pytest.mark.parametrize("k_range", [[20.7, 21.2], [21, 21], [True], [21, True]])
     def test_non_integer_or_repeated_candidates_rejected(self, k_range):
-        with pytest.raises(ValueError):
+        # only a range is taken, and a range holds distinct integers
+        with pytest.raises(ValueError, match="non-empty range"):
             posterior_curve(EXAMPLE, MprOrder(1), k_range)
 
     def test_distinct_integers_in_any_order(self):
         forward = dict(posterior_curve(EXAMPLE, MprOrder(1), range(20, 23)))
-        shuffled = posterior_curve(EXAMPLE, MprOrder(1), [22, 20, 21])
-        assert [k for k, _ in shuffled] == [22, 20, 21]
-        assert dict(shuffled) == pytest.approx(forward, rel=1e-15)
+        reversed_ = posterior_curve(EXAMPLE, MprOrder(1), range(22, 19, -1))
+        assert [k for k, _ in reversed_] == [22, 21, 20]
+        assert dict(reversed_) == pytest.approx(forward, rel=1e-15)
+        with pytest.raises(ValueError, match="non-empty range"):
+            posterior_curve(EXAMPLE, MprOrder(1), range(22, -2, -1))
 
 
 class TestPopulationEstimate:

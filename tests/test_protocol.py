@@ -27,6 +27,17 @@ def test_single_tag_single_slot():
         assert (obs.E, obs.S, obs.C, obs.identified) == (0, 1, 0, 1)
 
 
+@pytest.mark.parametrize("tags,L", [(True, 4), (3.0, 4), (5, 4.0), (5, True), (-1, 4), (5, 0)])
+def test_frame_rejects_bad_counts(tags, L):
+    with pytest.raises(ValueError):
+        run_frame(tags, L, MprOrder(1), np.random.default_rng(0))
+
+
+def test_frame_accepts_numpy_integer_counts():
+    expected = run_frame(5, 4, MprOrder(2), np.random.default_rng(0))
+    assert run_frame(np.int64(5), np.int64(4), MprOrder(2), np.random.default_rng(0)) == expected
+
+
 def test_frame_tallies_always_partition():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -72,7 +83,7 @@ def test_outcome_frequencies_match_binomial(M):
 
 def test_no_tags_terminates_immediately():
     config = ProtocolConfig(n=0, mpr=MprOrder(1), initial_frame_length=32)
-    result = run_interrogation(config)
+    result = run_interrogation(config, np.random.default_rng(0))
     assert len(result.frames) == 1
     assert result.total_slots == 32
     assert sum(f.identified for f in result.frames) == 0
@@ -105,11 +116,6 @@ def test_interrogation_invariants(variant, n, M, L0):
         remaining -= obs.identified
         assert remaining >= 0
     assert remaining == 0
-
-
-def test_without_rng_the_run_draws_from_seed_zero():
-    config = ProtocolConfig(n=120, mpr=MprOrder(2), initial_frame_length=32)
-    assert run_interrogation(config) == run_interrogation(config, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
