@@ -1,12 +1,12 @@
 """Command-line front end: simulate sweeps, tabulate closed forms, run the estimator.
 
-Exit codes: 0 on success, 1 on bad configuration or arguments or an output
-path that cannot be written, 2 on a runtime diagnostic (e.g. the
-non-termination safety cap). Errors are one ``dfsa-mpr`` line on stderr (after
-the usage line, for argparse errors), never a traceback. ``simulate`` checks
-its whole spec and opens its output file before the sweep starts, and
-``estimate`` opens its curve file before it prints. Progress goes to stderr;
-data goes to the output file or stdout.
+Exit codes: 0 on success, 1 on bad configuration or arguments, an output path
+that cannot be written or arguments too large to hold in memory, 2 on a
+runtime diagnostic (e.g. the non-termination safety cap). Only ``main`` turns
+an error into an exit code and one ``dfsa-mpr`` line on stderr (after the
+usage line, for argparse errors), never a traceback. ``simulate`` checks its
+spec and opens its output file before the sweep, and ``estimate`` writes its
+curve file before it prints. Progress goes to stderr; data to the file or stdout.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import yaml
 from .estimator import FrameObservation, map_estimate, population_estimate, posterior_curve
 from .harness import (
     ExperimentSpec,
+    csv_text,
     efficiency_curve,
     optimal_length_table,
     render_csv,
@@ -111,94 +112,77 @@ def _build_parser() -> _Parser:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    raw: dict = {}
-    if args.config:
-        with open(args.config) as handle:
-            loaded = yaml.safe_load(handle)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config {args.config} must be a mapping")
-        raw.update(loaded)
-    for flag, key, parse, _ in _OVERRIDES:
-        text = getattr(args, flag[2:].replace("-", "_"))
-        if text is not None:
-            try:
-                raw[key] = parse(text)
-            except ValueError as exc:
-                raise ValueError(f"{flag}: {exc}") from None
-    return ExperimentSpec.from_dict(raw)
+    """The spec from --config and the flags; a fault raises ValueError("bad config: ...")."""
+    try:
+        raw: dict = {}
+        if args.config:
+            with open(args.config) as handle:
+                loaded = yaml.safe_load(handle)
+            if not isinstance(loaded, dict):
+                raise ValueError(f"config {args.config} must be a mapping")
+            raw.update(loaded)
+        for flag, key, parse, _ in _OVERRIDES:
+            text = getattr(args, flag[2:].replace("-", "_"))
+            if text is not None:
+                try:
+                    raw[key] = parse(text)
+                except ValueError as exc:
+                    raise ValueError(f"{flag}: {exc}") from None
+        return ExperimentSpec.from_dict(raw)
+    except (ValueError, TypeError, OSError, yaml.YAMLError) as exc:
+        raise ValueError(f"bad config: {exc}") from exc
 
 
-def _write(text: str, path: Optional[str]) -> int:
-    """Write ``text`` to ``path``, or to stdout without one; exit code 1 on an OSError."""
+def _write(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to ``path`` or stdout; OSError -> ValueError("cannot write output: ...")."""
     if not path:
         sys.stdout.write(text)
-        return 0
+        return
     try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"dfsa-mpr: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
-def _cmd_simulate(args) -> int:
-    try:
-        spec = _load_spec(args)
-    except (ValueError, TypeError, OSError, yaml.YAMLError) as exc:
-        print(f"dfsa-mpr: bad config: {exc}", file=sys.stderr)
-        return 1
+def _cmd_simulate(args) -> None:
+    spec = _load_spec(args)
     # create the output file now, so that a path that cannot be written fails
     # before the sweep rather than after it
-    if _write("", args.out):
-        return 1
-    try:
-        table = run_experiment(spec, parallel=args.parallel, progress=True)
-    except NonTerminationError as exc:
-        print(f"dfsa-mpr: {exc}", file=sys.stderr)
-        return 2
+    _write("", args.out)
+    table = run_experiment(spec, parallel=args.parallel, progress=True)
     render = render_csv if args.format == "csv" else render_json
-    return _write(render(table), args.out)
+    _write(render(table), args.out)
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        tag_counts = parse_int_list(args.tag_counts)
-        mpr_orders = parse_int_list(args.mpr_orders)
-        if args.optimal_length:
-            text = optimal_length_table(tag_counts, mpr_orders)
-        else:
-            if len(tag_counts) != 1 or len(mpr_orders) != 1:
-                raise ValueError("--efficiency-curve takes a single n and a single M")
-            text = efficiency_curve(
-                tag_counts[0], MprOrder(mpr_orders[0]), args.max_length
-            )
-    except ValueError as exc:
-        print(f"dfsa-mpr: {exc}", file=sys.stderr)
-        return 1
-    return _write(text, args.out)
+def _cmd_analyze(args) -> None:
+    tag_counts = parse_int_list(args.tag_counts)
+    mpr_orders = parse_int_list(args.mpr_orders)
+    if args.optimal_length:
+        text = optimal_length_table(tag_counts, mpr_orders)
+    elif len(tag_counts) != 1 or len(mpr_orders) != 1:
+        raise ValueError("--efficiency-curve takes a single n and a single M")
+    else:
+        text = efficiency_curve(tag_counts[0], MprOrder(mpr_orders[0]), args.max_length)
+    _write(text, args.out)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     identified = args.identified if args.identified is not None else args.S
-    try:
-        obs = FrameObservation(
-            L=args.L, E=args.E, S=args.S, C=args.C, identified=identified
-        )
-        mpr = MprOrder(args.M)
-        estimate = map_estimate(obs, mpr)
-        n_hat = population_estimate(obs, mpr)
+    obs = FrameObservation(L=args.L, E=args.E, S=args.S, C=args.C, identified=identified)
+    mpr = MprOrder(args.M)
+    estimate = map_estimate(obs, mpr)
+    n_hat = population_estimate(obs, mpr)
+    if args.curve_out:
         k_max = args.curve_k_max
         if k_max is None:
             k_max = max(2 * n_hat + 10, estimate.k_min + 100)
-        if args.curve_out and k_max < estimate.k_min:
+        if k_max < estimate.k_min:
             raise ValueError(f"curve k max {k_max} below lower bound {estimate.k_min}")
-    except ValueError as exc:
-        print(f"dfsa-mpr: {exc}", file=sys.stderr)
-        return 1
-    # as in simulate: a curve path that cannot be written fails before any output
-    if args.curve_out and _write("", args.curve_out):
-        return 1
+        # a bad path fails before the curve is built; the curve is written before any output
+        _write("", args.curve_out)
+        curve = posterior_curve(obs, mpr, range(estimate.k_min, k_max + 1))
+        _write(csv_text(["k", "probability"], curve), args.curve_out)
     print(n_hat)
     if estimate.saturated:
         print(
@@ -206,20 +190,27 @@ def _cmd_estimate(args) -> int:
             " the frame is consistent with any larger population",
             file=sys.stderr,
         )
-    if args.curve_out:
-        curve = posterior_curve(obs, mpr, range(estimate.k_min, k_max + 1))
-        rows = "".join(f"{k},{prob:.6g}\n" for k, prob in curve)
-        return _write("k,probability\n" + rows, args.curve_out)
-    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; the only place where an error becomes an exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.run(args)
+    try:
+        args.run(args)
+    except NonTerminationError as exc:
+        print(f"dfsa-mpr: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"dfsa-mpr: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("dfsa-mpr: not enough memory for these arguments", file=sys.stderr)
+        return 1
+    return 0
 
 
 def entry() -> None:

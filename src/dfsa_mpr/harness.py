@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from itertools import zip_longest
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -153,12 +153,6 @@ def run_experiment(
     return results
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def _rows(table: Mapping[CellKey, AggregateMetrics]) -> list[dict]:
     rows = []
     for key in sorted(table):
@@ -169,11 +163,17 @@ def _rows(table: Mapping[CellKey, AggregateMetrics]) -> list[dict]:
     return rows
 
 
-def render_csv(table: Mapping[CellKey, AggregateMetrics]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in _rows(table):
-        lines.append(",".join(_format_value(row[col]) for col in CSV_COLUMNS))
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: a header line of ``columns``, then one line per row. A float
+    is written to 6 significant digits (``.6g``), any other value with ``str``."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def render_csv(table: Mapping[CellKey, AggregateMetrics]) -> str:
+    return csv_text(CSV_COLUMNS, ([row[col] for col in CSV_COLUMNS] for row in _rows(table)))
 
 
 def render_json(table: Mapping[CellKey, AggregateMetrics]) -> str:
@@ -194,12 +194,12 @@ def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
         plans = [optimal_frame_length(n, mpr) for n in tag_counts]
         loads = [n / plan.length for n, plan in zip(tag_counts, plans)]
         columns.append(list(zip(plans, channel_efficiency(loads, m).tolist())))
-    lines = ["n,M,raw_optimum,length,efficiency"]
+    rows = []
     for i, n in enumerate(tag_counts):
         for m, column in zip(mpr_orders, columns):
             plan, eff = column[i]
-            lines.append(f"{n},{m},{plan.raw_optimum:.6g},{plan.length},{eff:.6g}")
-    return "\n".join(lines) + "\n"
+            rows.append((n, m, plan.raw_optimum, plan.length, eff))
+    return csv_text(["n", "M", "raw_optimum", "length", "efficiency"], rows)
 
 
 def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) -> str:
@@ -210,8 +210,5 @@ def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) ->
     require_count("max length", max_length, 1)
     lengths = np.arange(1, max_length + 1)
     efficiency = channel_efficiency(n / lengths, mpr.M)
-    lines = ["L,efficiency"]
-    for length, eff in zip(lengths.tolist(), efficiency.tolist()):
-        lines.append(f"{length},{eff:.6g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["L", "efficiency"], zip(lengths.tolist(), efficiency.tolist()))
 

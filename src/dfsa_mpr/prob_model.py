@@ -156,5 +156,9 @@ def log_slot_probabilities(
 
 
 def channel_efficiency(x: ArrayLike, M: int) -> np.ndarray:
-    """Expected successful slots over L at Poisson load x = n/L, elementwise: p_s."""
+    """Expected successful slots over L at Poisson load x = n/L >= 0, elementwise: p_s."""
+    require_count("MPR order", M, 1)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("load x must be finite and >= 0")
     return np.exp(log_slot_probabilities(x, M)[1])

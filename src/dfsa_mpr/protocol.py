@@ -46,7 +46,11 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         require_count("tag count", self.n, 0)
+        if not isinstance(self.mpr, MprOrder):
+            raise ValueError(f"mpr must be an MprOrder, got {self.mpr!r}")
         require_count("initial frame length", self.initial_frame_length, 1)
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import pytest
 import yaml
 
+import dfsa_mpr.cli as cli
 import dfsa_mpr.protocol as protocol
 from dfsa_mpr.cli import main, parse_int_list
 
@@ -259,3 +260,51 @@ def test_simulate_non_termination_exit_2(monkeypatch, capsys):
     assert code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("dfsa-mpr: interrogation exceeded")
+
+
+def test_analyze_curve_too_large_to_hold_is_one_error_line(capsys):
+    # 10^17 lengths take 8 * 10^17 bytes, more than any address space holds,
+    # so the allocation is refused whatever the overcommit policy
+    argv = ["analyze", "--efficiency-curve", "--tag-counts", "100", "--mpr-orders", "1",
+            "--max-length", "100000000000000000"]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+_ESTIMATE = ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", "2"]
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), ValueError("bad value")])
+@pytest.mark.parametrize(
+    "callee,argv",
+    [
+        ("run_experiment", _simulate()),
+        ("optimal_length_table", ["analyze", "--optimal-length"]),
+        ("efficiency_curve", ["analyze", "--efficiency-curve", "--mpr-orders", "2"]),
+        ("map_estimate", _ESTIMATE),
+        # the estimate is not printed when its curve fails
+        ("posterior_curve", [*_ESTIMATE, "--curve-out", "curve.csv"]),
+    ],
+)
+def test_error_inside_a_command_is_one_error_line(
+    callee, argv, exc, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, callee, _raise(exc))
+    assert main(argv) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_os_error_in_the_sweep_is_not_an_output_error(monkeypatch, capsys):
+    # e.g. a pool that cannot fork: only a failed write is "cannot write output"
+    monkeypatch.setattr(cli, "run_experiment", _raise(OSError("cannot fork")))
+    with pytest.raises(OSError, match="cannot fork"):
+        main(_simulate())
+    assert "cannot write output" not in capsys.readouterr().err

@@ -9,6 +9,7 @@ from dfsa_mpr.cli import main
 from dfsa_mpr.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
+    csv_text,
     efficiency_curve,
     optimal_length_table,
     render_csv,
@@ -210,3 +211,7 @@ class TestAnalysisTables:
         rows = {int(r["L"]): float(r["efficiency"]) for r in csv.DictReader(text.splitlines())}
         assert rows[100] == pytest.approx(math.exp(-1), rel=1e-5)
 
+
+def test_csv_text_formats_floats_only():
+    text = csv_text(["a", "b", "c"], [(1, 0.1234567, "x"), (10**7, 1e7, math.nan)])
+    assert text == "a,b,c\n1,0.123457,x\n10000000,1e+07,nan\n"

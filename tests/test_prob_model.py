@@ -198,6 +198,18 @@ def test_efficiency_unimodal_in_frame_length(n, M):
     assert np.all(u[peak:-1] >= u[peak + 1 :] - 1e-15)
 
 
+@pytest.mark.parametrize("M", [0, 2.5, True])
+def test_channel_efficiency_rejects_bad_mpr_order(M):
+    with pytest.raises(ValueError, match="MPR order"):
+        channel_efficiency(1.0, M)
+
+
+@pytest.mark.parametrize("x", [-1.0, math.nan, math.inf, [0.5, -1.0]])
+def test_channel_efficiency_rejects_bad_load(x):
+    with pytest.raises(ValueError, match="load"):
+        channel_efficiency(x, 2)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         MprOrder(0)

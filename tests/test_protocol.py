@@ -127,6 +127,16 @@ def test_config_rejects_bad_counts(n, M, L0):
         ProtocolConfig(n=n, mpr=MprOrder(M), initial_frame_length=L0)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("variant", "dfsa"), ("variant", "fsa"), ("mpr", 2), ("mpr", None)]
+)
+def test_config_rejects_untyped_variant_or_mpr(field, value):
+    # a string variant would fail the Variant.DFSA identity test and run FSA
+    kwargs = {"n": 350, "mpr": MprOrder(4), "initial_frame_length": 128, field: value}
+    with pytest.raises(ValueError, match=field):
+        ProtocolConfig(**kwargs)
+
+
 def _spy_on_map_estimate(monkeypatch) -> list[tuple[FrameObservation, int]]:
     """Record each frame the protocol estimates, with the n_hat it got."""
     calls = []
