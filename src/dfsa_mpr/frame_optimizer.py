@@ -30,10 +30,13 @@ def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     """Efficiency-maximizing frame length for n contending tags.
 
     Rounded half-up to an integer, floored at 1 (a degenerate probe frame
-    when n = 0).
+    when n = 0). ValueError for an n too large to convert to a float.
     """
     require_count("tag count", n, 0)
-    raw = n * math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
+    try:
+        raw = n * math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
+    except OverflowError:
+        raise ValueError("tag count is too large to convert to a float") from None
     return FramePlan(length=max(1, _round_half_up(raw)), raw_optimum=raw)
 
 

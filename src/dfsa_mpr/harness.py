@@ -138,6 +138,7 @@ def run_experiment(
     spec: ExperimentSpec, parallel: int = 1, progress: bool = False
 ) -> dict[CellKey, AggregateMetrics]:
     """Run every cell of the sweep; rows come back sorted by cell key."""
+    require_count("parallel", parallel, 1)
     cells = spec.cells()
     jobs = [(key, spec.trials, spec.master_seed) for key in cells]
     results: dict[CellKey, AggregateMetrics] = {}

@@ -11,6 +11,13 @@ collided slot, when every tag has been identified; a run that reaches
 
 A run's record is each frame's ``FrameObservation`` and the total slot
 count; DFSA's estimate is used to size the next frame and is not kept.
+
+A frame's tallies are read off one histogram of slot occupancy. DFSA draws
+each frame's slot choices on their own. FSA, whose frame length never
+changes, draws them ahead in blocks: ``Generator.integers`` maps the bit
+stream into [0, L) one value at a time, so each frame gets exactly the values
+one draw per frame would give, but the generator ends further along its
+stream than one draw per frame would leave it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ from .prob_model import MprOrder, require_count
 
 #: frames after which a run is declared non-terminating (configuration bug)
 FRAME_SAFETY_CAP = 100_000
+
+#: the most slot choices an FSA run draws ahead of its frames in one call
+_DRAW_AHEAD = 2 ** 14
 
 
 class NonTerminationError(RuntimeError):
@@ -62,34 +72,54 @@ class InterrogationResult:
     total_slots: int
 
 
+def _tally(slots: np.ndarray, frame_length: int, mpr: MprOrder) -> FrameObservation:
+    """The frame in which each tag chose the slot in ``slots``; a slot with
+    1..M tags decodes. ``occupancy[c]`` is the number of slots with c tags."""
+    occupancy = np.bincount(np.bincount(slots, minlength=frame_length)).tolist()
+    decoded = occupancy[1 : mpr.M + 1]
+    empty, success = occupancy[0], sum(decoded)
+    return FrameObservation(
+        L=frame_length,
+        E=empty,
+        S=success,
+        C=frame_length - empty - success,
+        identified=sum(c * slots_with_c for c, slots_with_c in enumerate(decoded, 1)),
+    )
+
+
 def run_frame(
     tags_remaining: int, frame_length: int, mpr: MprOrder, rng: np.random.Generator
 ) -> FrameObservation:
     """Simulate one frame: uniform slot choice per tag, threshold-M slot resolution."""
     require_count("tag count", tags_remaining, 0)
     require_count("frame length", frame_length, 1)
-    slots = rng.integers(0, frame_length, size=tags_remaining)
-    counts = np.bincount(slots, minlength=frame_length)
-    empty = int(np.count_nonzero(counts == 0))
-    success_mask = (counts >= 1) & (counts <= mpr.M)
-    success = int(np.count_nonzero(success_mask))
-    identified = int(counts[success_mask].sum())
-    collided = frame_length - empty - success
-    return FrameObservation(
-        L=frame_length, E=empty, S=success, C=collided, identified=identified
-    )
+    return _tally(rng.integers(0, frame_length, size=tags_remaining), frame_length, mpr)
 
 
 def run_interrogation(config: ProtocolConfig, rng: np.random.Generator) -> InterrogationResult:
     """Interrogate until a frame has no collisions, drawing every slot choice
-    from ``rng``; returns the full trajectory."""
+    from ``rng``; returns the full trajectory.
+
+    The frames are the ones a loop of ``run_frame`` calls on ``rng`` would
+    give. FSA draws slot choices ahead in blocks, so after an FSA run ``rng``
+    is not in the state that one draw per frame would leave.
+    """
     tags = config.n
     frame_length = config.initial_frame_length
+    # only FSA's frame length is known ahead; DFSA draws each frame's own.
+    # Each FSA draw runs ahead by the previous block's size, up to the cap, so
+    # a short run draws few values it never uses
+    ahead = _DRAW_AHEAD if config.variant is Variant.FSA else 0
+    drawn, used = np.empty(0, dtype=np.int64), 0
     frames: list[FrameObservation] = []
     total_slots = 0
 
     while True:
-        obs = run_frame(tags, frame_length, config.mpr, rng)
+        if used + tags > drawn.size:
+            fresh = rng.integers(0, frame_length, size=tags + min(ahead, drawn.size))
+            drawn, used = np.concatenate((drawn[used:], fresh)), 0
+        obs = _tally(drawn[used : used + tags], frame_length, config.mpr)
+        used += tags
         tags -= obs.identified
         total_slots += frame_length
         frames.append(obs)

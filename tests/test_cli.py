@@ -205,6 +205,8 @@ def _simulate(n="5", m="1", l0="8"):
         _simulate(l0="0"),
         [*_simulate(), "--seed", "-1"],
         [*_simulate(), "--trials", "abc"],
+        [*_simulate(), "--parallel", "0"],
+        [*_simulate(), "--parallel", "-3"],
     ],
 )
 def test_simulate_bad_flag_value_is_one_error_line(argv, capsys):
@@ -267,6 +269,12 @@ def test_analyze_curve_too_large_to_hold_is_one_error_line(capsys):
     # so the allocation is refused whatever the overcommit policy
     argv = ["analyze", "--efficiency-curve", "--tag-counts", "100", "--mpr-orders", "1",
             "--max-length", "100000000000000000"]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_analyze_tag_count_too_large_for_a_float_is_one_error_line(capsys):
+    argv = ["analyze", "--optimal-length", "--tag-counts", "1" + "0" * 400, "--mpr-orders", "1"]
     assert main(argv) == 1
     _assert_one_error_line(capsys)
 

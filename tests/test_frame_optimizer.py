@@ -43,6 +43,12 @@ def test_non_integer_population_rejected(n):
         optimal_frame_length(n, MprOrder(1))
 
 
+@pytest.mark.parametrize("M", [1, 4])
+def test_population_too_large_for_a_float_rejected(M):
+    with pytest.raises(ValueError, match="too large to convert to a float"):
+        optimal_frame_length(10**400, MprOrder(M))
+
+
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_m1_reduction_exact(M):
     # raw optimum is the population scaled by (M!)^(-1/M): exactly n at M = 1

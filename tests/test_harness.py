@@ -110,6 +110,11 @@ class TestRunExperiment:
         b = run_experiment(small_spec(variants=[Variant.FSA, Variant.DFSA]))
         assert a == b
 
+    @pytest.mark.parametrize("parallel", [0, -3, True, 2.0])
+    def test_parallel_below_one_or_not_an_integer_rejected(self, parallel):
+        with pytest.raises(ValueError, match="parallel"):
+            run_experiment(small_spec(trials=2), parallel=parallel)
+
     def test_parallel_matches_serial(self):
         spec = small_spec()
         assert run_experiment(spec, parallel=2) == run_experiment(spec)

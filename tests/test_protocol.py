@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dfsa_mpr.protocol as protocol
 from conftest import binomial_occupancy
@@ -11,6 +13,7 @@ from dfsa_mpr.protocol import (
     NonTerminationError,
     ProtocolConfig,
     Variant,
+    _tally,
     run_frame,
     run_interrogation,
 )
@@ -79,6 +82,63 @@ def test_outcome_frequencies_match_binomial(M):
         values = np.array(values)
         se = values.std(ddof=1) / math.sqrt(frames)
         assert abs(values.mean() - exact[key]) <= 3 * se, key
+
+
+def _mask_tally(slots, L, M):
+    """The frame's tallies counted class by class with numpy masks."""
+    counts = np.bincount(slots, minlength=L)
+    empty = int(np.count_nonzero(counts == 0))
+    success_mask = (counts >= 1) & (counts <= M)
+    success = int(np.count_nonzero(success_mask))
+    identified = int(counts[success_mask].sum())
+    return FrameObservation(
+        L=L, E=empty, S=success, C=L - empty - success, identified=identified
+    )
+
+
+@st.composite
+def frames_of_slot_choices(draw):
+    L = draw(st.integers(1, 300))
+    slots = draw(st.lists(st.integers(0, L - 1), max_size=600))
+    # small M collides; M past the largest occupancy decodes every occupied slot
+    M = draw(st.integers(1, 8) | st.integers(1, len(slots) + 2))
+    return np.array(slots, dtype=np.int64), L, M
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(frames_of_slot_choices(), st.booleans())
+@example((np.empty(0, dtype=np.int64), 5, 1), False)
+@example((np.empty(0, dtype=np.int64), 5, 4), True)
+def test_occupancy_tally_matches_the_mask_tally(frame, numpy_ints):
+    slots, L, M = frame
+    expected = _mask_tally(slots, L, M)
+    if numpy_ints:
+        L, M = np.int64(L), np.int64(M)
+    assert _tally(slots, L, MprOrder(M)) == expected
+
+
+def _frame_by_frame(config, rng):
+    """The FSA run as one ``run_frame`` draw per frame."""
+    frames, tags = [], config.n
+    while True:
+        obs = run_frame(tags, config.initial_frame_length, config.mpr, rng)
+        frames.append(obs)
+        tags -= obs.identified
+        if obs.C == 0:
+            return frames
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("L0,n", [(3, 12), (100, 700), (127, 1000), (128, 1000), (1000, 3000)])
+def test_fsa_block_draws_give_the_per_frame_stream(L0, n, M):
+    # the longest of these runs draws several blocks, so a block boundary
+    # falls inside a frame and the unused tail carries over
+    config = ProtocolConfig(n=n, mpr=MprOrder(M), initial_frame_length=L0, variant=Variant.FSA)
+    for seed in (0, 1):
+        expected = _frame_by_frame(config, np.random.default_rng(seed))
+        result = run_interrogation(config, np.random.default_rng(seed))
+        assert result.frames == expected
+        assert result.total_slots == L0 * len(expected)
 
 
 def test_no_tags_terminates_immediately():
