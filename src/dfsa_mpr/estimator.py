@@ -47,8 +47,8 @@ candidate restarts the window there, 4 times wider, until the window
 reaches k_max.
 
 The search result is memoized per process in a bounded
-``functools.lru_cache`` keyed on (L, E, S, C, M, k_min); ``identified``
-enters the key only through k_min.
+``functools.lru_cache`` keyed on (L, E, S, C, M, k_min, k_max); ``identified``
+enters the key only through k_min, and k_max follows from L and M.
 """
 
 from __future__ import annotations
@@ -168,9 +168,8 @@ def _first_argmax_of_concave(
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _posterior_mode(L: int, E: int, S: int, C: int, M: int, k_min: int) -> int:
-    """First argmax over [k_min, 10 L M], memoized per process."""
-    k_max = 10 * L * M
+def _posterior_mode(L: int, E: int, S: int, C: int, M: int, k_min: int, k_max: int) -> int:
+    """First argmax over [k_min, k_max], memoized per process."""
     # P(X > M)^L rises strictly in k when every slot collided: the argmax is the cap
     if C == L:
         return k_max
@@ -189,7 +188,8 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     _require_valid_tallies(obs, mpr)
     k_min = search_lower_bound(obs, mpr)
     k_max = 10 * obs.L * mpr.M
-    return MapEstimate(_posterior_mode(obs.L, obs.E, obs.S, obs.C, mpr.M, k_min), k_min, k_max)
+    n_hat = _posterior_mode(obs.L, obs.E, obs.S, obs.C, mpr.M, k_min, k_max)
+    return MapEstimate(n_hat, k_min, k_max)
 
 
 def population_estimate(obs: FrameObservation, mpr: MprOrder) -> int:

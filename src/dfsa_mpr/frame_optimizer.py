@@ -22,22 +22,21 @@ class FramePlan:
     raw_optimum: float
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     """Efficiency-maximizing frame length for n contending tags.
 
-    Rounded half-up to an integer, floored at 1 (a degenerate probe frame
-    when n = 0). ValueError for an n too large to convert to a float.
+    Rounded half-up in exact integers, so at M = 1 the length is n itself,
+    and floored at 1 (a degenerate probe frame when n = 0). ValueError for
+    an n too large to convert to a float.
     """
     require_count("tag count", n, 0)
     try:
-        raw = n * math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
+        scale = math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
+        raw = n * scale
     except OverflowError:
         raise ValueError("tag count is too large to convert to a float") from None
-    return FramePlan(length=max(1, _round_half_up(raw)), raw_optimum=raw)
+    num, den = scale.as_integer_ratio()
+    return FramePlan(length=max(1, (2 * n * num + den) // (2 * den)), raw_optimum=raw)
 
 
 def next_frame_length(estimate: int, identified: int, mpr: MprOrder) -> FramePlan:

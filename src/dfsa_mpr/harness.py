@@ -17,7 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -101,10 +101,10 @@ def _trial_rng(master_seed: int, key: CellKey, trial: int) -> np.random.Generato
     return np.random.default_rng(seq)
 
 
-def _std(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample standard deviation; the deviation of one trial is 0."""
+    std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    return float(values.mean()), std
 
 
 def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics]:
@@ -122,16 +122,9 @@ def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics
         estimates[trial] = population_estimate(result.frames[0], mpr)
     read_rates = n / delays
     errors = np.abs(estimates - n) / n * 100.0 if n > 0 else np.full(trials, math.nan)
-    metrics = AggregateMetrics(
-        trials=trials,
-        read_rate_mean=float(read_rates.mean()),
-        read_rate_std=_std(read_rates),
-        delay_mean=float(delays.mean()),
-        delay_std=_std(delays),
-        est_err_pct_mean=float(errors.mean()),
-        est_err_pct_std=_std(errors),
+    return key, AggregateMetrics(
+        trials, *_mean_std(read_rates), *_mean_std(delays), *_mean_std(errors)
     )
-    return key, metrics
 
 
 def run_experiment(
@@ -154,14 +147,9 @@ def run_experiment(
     return results
 
 
-def _rows(table: Mapping[CellKey, AggregateMetrics]) -> list[dict]:
-    rows = []
-    for key in sorted(table):
-        variant, n, m, l0 = key
-        record = {"variant": variant, "n": n, "M": m, "L0": l0}
-        record.update(asdict(table[key]))
-        rows.append(record)
-    return rows
+def _rows(table: Mapping[CellKey, AggregateMetrics]) -> list[tuple]:
+    """One tuple per cell in ``CSV_COLUMNS`` order, sorted by cell key."""
+    return [(*key, *astuple(table[key])) for key in sorted(table)]
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -174,17 +162,20 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def render_csv(table: Mapping[CellKey, AggregateMetrics]) -> str:
-    return csv_text(CSV_COLUMNS, ([row[col] for col in CSV_COLUMNS] for row in _rows(table)))
+    return csv_text(CSV_COLUMNS, _rows(table))
+
+
+def _json_value(value):
+    """A float to 6 significant digits, as in the CSV, or None where it is not finite."""
+    if not isinstance(value, float):
+        return value
+    return float(f"{value:.6g}") if math.isfinite(value) else None
 
 
 def render_json(table: Mapping[CellKey, AggregateMetrics]) -> str:
     """Strict JSON: a non-finite metric (the error of an n = 0 cell) is null."""
-    rows = _rows(table)
-    for row in rows:
-        for col, value in row.items():
-            if isinstance(value, float):
-                row[col] = float(f"{value:.6g}") if math.isfinite(value) else None
-    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    records = [dict(zip(CSV_COLUMNS, map(_json_value, row))) for row in _rows(table)]
+    return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
 def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
@@ -194,12 +185,10 @@ def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
         mpr = MprOrder(m)
         plans = [optimal_frame_length(n, mpr) for n in tag_counts]
         loads = [n / plan.length for n, plan in zip(tag_counts, plans)]
-        columns.append(list(zip(plans, channel_efficiency(loads, m).tolist())))
-    rows = []
-    for i, n in enumerate(tag_counts):
-        for m, column in zip(mpr_orders, columns):
-            plan, eff = column[i]
-            rows.append((n, m, plan.raw_optimum, plan.length, eff))
+        column = zip(tag_counts, plans, channel_efficiency(loads, m).tolist())
+        columns.append([(n, m, plan.raw_optimum, plan.length, eff) for n, plan, eff in column])
+    # rows run over n, and over M within each n
+    rows = [row for same_n in zip(*columns) for row in same_n]
     return csv_text(["n", "M", "raw_optimum", "length", "efficiency"], rows)
 
 

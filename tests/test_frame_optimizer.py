@@ -26,6 +26,12 @@ def test_optimal_length_m4():
     assert plan.length == 45
 
 
+@pytest.mark.parametrize("n", [2**53 + 1, 10**30])
+def test_single_packet_length_is_the_population_beyond_float_precision(n):
+    # the float n * 1.0 rounds both of these; the length must not
+    assert optimal_frame_length(n, MprOrder(1)).length == n
+
+
 def test_zero_population_degenerate_probe():
     plan = optimal_frame_length(0, MprOrder(3))
     assert plan.length == 1
