@@ -9,6 +9,7 @@ estimate minus the tags identified, at least M+1 by the estimator's bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .prob_model import MprOrder, require_count
@@ -30,6 +31,8 @@ def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     an n too large to convert to a float.
     """
     require_count("tag count", n, 0)
+    # a Python int keeps the integer rounding exact for a numpy count as well
+    n = operator.index(n)
     try:
         scale = math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
         raw = n * scale

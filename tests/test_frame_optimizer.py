@@ -26,10 +26,19 @@ def test_optimal_length_m4():
     assert plan.length == 45
 
 
-@pytest.mark.parametrize("n", [2**53 + 1, 10**30])
-def test_single_packet_length_is_the_population_beyond_float_precision(n):
-    # the float n * 1.0 rounds both of these; the length must not
-    assert optimal_frame_length(n, MprOrder(1)).length == n
+@pytest.mark.parametrize(
+    "n, M, length",
+    [
+        (2**53 + 1, 1, 2**53 + 1),
+        (10**30, 1, 10**30),
+        (np.int64(2**62), 1, 2**62),
+        (np.int64(5000), 2, 3536),
+    ],
+)
+def test_length_is_exact_beyond_float_precision_and_for_numpy_counts(n, M, length):
+    # a float n * scale rounds the large counts, and int64 products overflow;
+    # the length must do neither
+    assert optimal_frame_length(n, MprOrder(M)).length == length
 
 
 def test_zero_population_degenerate_probe():
