@@ -5,6 +5,7 @@ from .estimator import (
     MapEstimate,
     map_estimate,
     population_estimate,
+    population_estimates,
     posterior_curve,
 )
 from .frame_optimizer import (
@@ -48,6 +49,7 @@ __all__ = [
     "next_frame_length",
     "optimal_frame_length",
     "population_estimate",
+    "population_estimates",
     "posterior_curve",
     "render_csv",
     "render_json",

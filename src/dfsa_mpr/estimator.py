@@ -46,19 +46,29 @@ has stopped rising never rises again. An argmax on the window's last
 candidate restarts the window there, 4 times wider, until the window
 reaches k_max.
 
-The search result is memoized per process in a bounded
-``functools.lru_cache`` keyed on (L, E, S, C, M, k_min, k_max); ``identified``
-enters the key only through k_min, and k_max follows from L and M.
+Many frames of one M are searched together by the same rule, row by row
+(``population_estimates``). Each window round evaluates the windows of every
+frame still unresolved in one kernel call over a 2-D array of candidates,
+and a frame leaves the batch once its argmax is final. This gives the
+one-frame answers bit for bit, since each kernel value depends on its own
+load only. A lone frame keeps the one-frame search, whose call costs less.
+
+Answers are remembered per process in one bounded memo that ``map_estimate``
+and ``population_estimates`` share: at most 4,096 keys (L, E, S, C, M, k_min),
+the least recently used evicted first. ``identified`` enters the key only
+through k_min, and k_max follows from L and M. An all-collided frame needs
+no search and is not stored.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .prob_model import MprOrder, log_slot_probabilities, require_count
 
@@ -67,8 +77,17 @@ from .prob_model import MprOrder, log_slot_probabilities, require_count
 _FIRST_WINDOW = 64
 _WINDOW_GROWTH = 4
 
-#: (L, E, S, C, M, k_min) keys whose posterior mode a process remembers
+#: the most candidates in one kernel call of the row-wise search; a window
+#: round with more is split, so its arrays stay at a few megabytes
+_BATCH_ENTRIES = 2**16
+
+#: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
+_MemoKey = tuple[int, int, int, int, int, int]
+
+#: keys whose posterior mode a process remembers, and the modes, least
+#: recently used first
 _MEMO_SIZE = 4096
+_memo: OrderedDict[_MemoKey, int] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -167,41 +186,132 @@ def _first_argmax_of_concave(
         lo, width = lo + i, width * _WINDOW_GROWTH
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _posterior_mode(L: int, E: int, S: int, C: int, M: int, k_min: int, k_max: int) -> int:
-    """First argmax over [k_min, k_max], memoized per process."""
+def _first_argmaxes_of_concave(
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: ArrayLike, hi: ArrayLike
+) -> np.ndarray:
+    """``_first_argmax_of_concave`` row by row: the first argmax over
+    [lo[r], hi[r]] of each row r's concave function, by the same windows.
+
+    ``evaluate(rows, ks)`` maps the indices of some rows, and their
+    candidates with one row of ``ks`` each, to the values. A window round
+    calls it once for every ``_BATCH_ENTRIES`` candidates.
+    """
+    lo = np.array(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    rows = np.arange(lo.size)
+    width = _FIRST_WINDOW
+    while rows.size:
+        offsets = np.arange(width)
+        step = max(1, _BATCH_ENTRIES // width)
+        i = np.empty(rows.size, dtype=np.int64)
+        for start in range(0, rows.size, step):
+            part = rows[start : start + step]
+            ks = lo[part, None] + offsets
+            values = evaluate(part, ks)
+            values[ks > hi[part, None]] = -np.inf
+            i[start : start + step] = values.argmax(axis=1)
+        lo[rows] += i
+        # only an argmax on a full window's last candidate, below the cap, goes on
+        rows = rows[(i == width - 1) & (lo[rows] < hi[rows])]
+        width *= _WINDOW_GROWTH
+    return lo
+
+
+def _mode_without_search(key: _MemoKey) -> Optional[int]:
+    """The posterior mode where no search is needed, else None: the cap for
+    an all-collided frame, or the memo's answer."""
+    L, E, S, C, M, k_min = key
     # P(X > M)^L rises strictly in k when every slot collided: the argmax is the cap
     if C == L:
-        return k_max
-    return _first_argmax_of_concave(
-        lambda ks: _log_posterior_array(ks, L, E, S, C, M), k_min, k_max
+        return 10 * L * M
+    mode = _memo.get(key)
+    if mode is not None:
+        _memo.move_to_end(key)
+    return mode
+
+
+def _remember(key: _MemoKey, mode: int) -> None:
+    _memo[key] = mode
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+
+
+def _search(key: _MemoKey) -> int:
+    """First argmax over [k_min, 10*L*M] of the key's posterior, remembered."""
+    L, E, S, C, M, k_min = key
+    mode = _first_argmax_of_concave(
+        lambda ks: _log_posterior_array(ks, L, E, S, C, M), k_min, 10 * L * M
     )
+    _remember(key, mode)
+    return mode
+
+
+def _search_rows(keys: list[_MemoKey]) -> list[int]:
+    """``_search`` of many keys of one M, with one kernel call per window
+    round for all of them.
+
+    Every key has a collided slot, so its candidates are at least M+1, where
+    every log-probability is finite. A class with no slots then adds a zero,
+    and each row's values are exactly ``_log_posterior_array``'s.
+    """
+    L, E, S, C, Ms, k_min = np.array(keys).T
+    M = int(Ms[0])
+
+    def evaluate(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        log_e, log_s, log_c = log_slot_probabilities(ks / L[rows, None], M)
+        return E[rows, None] * log_e + S[rows, None] * log_s + C[rows, None] * log_c
+
+    modes = _first_argmaxes_of_concave(evaluate, k_min, 10 * L * M).tolist()
+    for key, mode in zip(keys, modes):
+        _remember(key, mode)
+    return modes
 
 
 def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     """Integer argmax of the posterior over [k_min, 10*L*M]; ties go to the smaller k.
 
     An all-collided frame gives the cap itself, and the estimate is
-    ``saturated``. Results are memoized per process, keyed on the tallies,
-    M and k_min.
+    ``saturated``. Answers are remembered in the memo that
+    ``population_estimates`` shares, keyed on the tallies, M and k_min.
     """
     _require_valid_tallies(obs, mpr)
     k_min = search_lower_bound(obs, mpr)
-    k_max = 10 * obs.L * mpr.M
-    n_hat = _posterior_mode(obs.L, obs.E, obs.S, obs.C, mpr.M, k_min, k_max)
-    return MapEstimate(n_hat, k_min, k_max)
+    key = (obs.L, obs.E, obs.S, obs.C, mpr.M, k_min)
+    n_hat = _mode_without_search(key)
+    if n_hat is None:
+        n_hat = _search(key)
+    return MapEstimate(n_hat, k_min, 10 * obs.L * mpr.M)
+
+
+def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> list[int]:
+    """Tags that replied in each frame: exact without a collision, else the MAP estimate.
+
+    A frame with no collided slot decoded every tag that replied, so its
+    count is ``identified``; any other frame's is ``map_estimate(obs,
+    mpr).n_hat``. Frames with the same key share one answer, remembered
+    answers are reused, and the rest are searched together. A lone miss
+    takes the one-frame search, which costs less than a one-row batch.
+    """
+    frames = list(frames)
+    keys = []
+    for obs in frames:
+        _require_valid_tallies(obs, mpr)
+        if obs.C == 0:
+            keys.append(None)
+        else:
+            keys.append((obs.L, obs.E, obs.S, obs.C, mpr.M, search_lower_bound(obs, mpr)))
+    modes = {key: _mode_without_search(key) for key in dict.fromkeys(keys) if key is not None}
+    misses = [key for key, mode in modes.items() if mode is None]
+    if len(misses) == 1:
+        modes[misses[0]] = _search(misses[0])
+    elif misses:
+        modes.update(zip(misses, _search_rows(misses)))
+    return [obs.identified if key is None else modes[key] for obs, key in zip(frames, keys)]
 
 
 def population_estimate(obs: FrameObservation, mpr: MprOrder) -> int:
-    """Tags that replied in the frame: exact without a collision, else the MAP estimate.
-
-    A frame with no collided slot decoded every tag that replied, so its
-    count is ``identified``; any other frame needs ``map_estimate``.
-    """
-    if obs.C == 0:
-        _require_valid_tallies(obs, mpr)
-        return obs.identified
-    return map_estimate(obs, mpr).n_hat
+    """``population_estimates`` of one frame."""
+    return population_estimates([obs], mpr)[0]
 
 
 def posterior_curve(

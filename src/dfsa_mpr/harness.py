@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .estimator import population_estimate
+from .estimator import population_estimates
 from .frame_optimizer import optimal_frame_length
 from .prob_model import MprOrder, channel_efficiency, require_count
 from .protocol import ProtocolConfig, Variant, run_interrogation
@@ -115,11 +115,12 @@ def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics
         n=n, mpr=mpr, initial_frame_length=l0, variant=Variant(variant_value)
     )
     delays = np.empty(trials)
-    estimates = np.empty(trials)
+    first_frames = []
     for trial in range(trials):
         result = run_interrogation(config, _trial_rng(master_seed, key, trial))
         delays[trial] = result.total_slots
-        estimates[trial] = population_estimate(result.frames[0], mpr)
+        first_frames.append(result.frames[0])
+    estimates = np.array(population_estimates(first_frames, mpr), dtype=float)
     read_rates = n / delays
     errors = np.abs(estimates - n) / n * 100.0 if n > 0 else np.full(trials, math.nan)
     return key, AggregateMetrics(

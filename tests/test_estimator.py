@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,36 @@ from dfsa_mpr import estimator
 from dfsa_mpr.estimator import (
     FrameObservation,
     _first_argmax_of_concave,
+    _first_argmaxes_of_concave,
     _log_posterior_array,
-    _posterior_mode,
     map_estimate,
     population_estimate,
+    population_estimates,
     posterior_curve,
     search_lower_bound,
 )
+from dfsa_mpr.harness import _trial_rng
 from dfsa_mpr.prob_model import MprOrder
+from dfsa_mpr.protocol import run_frame
 
 # the worked example frame: 10 slots, 1 empty, 3 successful, 6 collided
 EXAMPLE = FrameObservation(L=10, E=1, S=3, C=6, identified=3)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Empties the memo, then records the number of loads of each kernel call
+    the estimator makes."""
+    estimator._memo.clear()
+    calls = []
+    kernel = estimator.log_slot_probabilities
+
+    def counted(x, M):
+        calls.append(np.size(x))
+        return kernel(x, M)
+
+    monkeypatch.setattr(estimator, "log_slot_probabilities", counted)
+    return calls
 
 
 class TestObservationInvariants:
@@ -156,12 +176,12 @@ class TestMapEstimate:
         below, at_cap = _log_posterior_array(np.array([est.k_max - 1, est.n_hat]), L, 0, 0, L, M)
         assert below < at_cap
 
-    def test_all_collided_frame_skips_the_kernel(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(estimator, "_log_posterior_array", lambda *args: calls.append(args))
-        _posterior_mode.cache_clear()
-        est = map_estimate(FrameObservation(L=10, E=0, S=0, C=10, identified=0), MprOrder(3))
-        assert (est.n_hat, calls) == (300, [])
+    def test_all_collided_frame_skips_the_kernel(self, kernel_calls):
+        obs = FrameObservation(L=10, E=0, S=0, C=10, identified=0)
+        est = map_estimate(obs, MprOrder(3))
+        assert (est.n_hat, kernel_calls) == (300, [])
+        assert population_estimates([obs, obs], MprOrder(3)) == [300, 300]
+        assert kernel_calls == []
 
     def test_all_collided_frame_at_a_huge_mpr_order_returns_the_cap(self):
         # the kernel's per-M constants for M = 10**8 would take about a minute
@@ -253,54 +273,86 @@ def test_log_posterior_is_concave_in_k(frame):
     assert np.all(second <= 1e-12 * scale)
 
 
+def _row_wise(evaluate, lo, hi):
+    """The row-wise search on one row, called like the scalar one."""
+    return int(_first_argmaxes_of_concave(lambda rows, ks: evaluate(ks), [lo], [hi])[0])
+
+
+#: the scalar search and the row-wise one, which must agree on every case
+SEARCHES = (_first_argmax_of_concave, _row_wise)
+
+
 class TestWindowSearch:
     def test_tie_across_the_first_window_edge_returns_the_smaller_k(self):
         # candidates lo+63 (last of the first window) and lo+64 tie at the top
-        lo, calls = 10, []
+        lo = 10
+        for search in SEARCHES:
+            calls = []
 
-        def evaluate(ks):
-            calls.append(ks.size)
-            return -np.abs(ks - (lo + 63.5))
+            def evaluate(ks):
+                calls.append(ks.size)
+                return -np.abs(ks - (lo + 63.5))
 
-        assert _first_argmax_of_concave(evaluate, lo, 10**6) == lo + 63
-        assert calls == [64, 256]
+            assert search(evaluate, lo, 10**6) == lo + 63
+            assert calls == [64, 256]
 
     def test_plateau_returns_its_first_candidate(self):
-        assert _first_argmax_of_concave(lambda ks: np.zeros(ks.size), 5, 10**6) == 5
+        for search in SEARCHES:
+            assert search(lambda ks: np.zeros(ks.shape), 5, 10**6) == 5
 
     def test_rising_function_stops_at_the_upper_end(self):
-        assert _first_argmax_of_concave(lambda ks: ks.astype(float), 0, 1000) == 1000
+        for search in SEARCHES:
+            assert search(lambda ks: ks.astype(float), 0, 1000) == 1000
 
 
 class TestMemo:
     OBS = FrameObservation(L=64, E=19, S=28, C=17, identified=40)
 
-    def test_bounded(self):
-        assert 0 < _posterior_mode.cache_info().maxsize < 10**6
+    def test_bounded(self, monkeypatch):
+        assert 0 < estimator._MEMO_SIZE < 10**6
+        # with room for 3, the least recently used key (identified = 29) goes first
+        monkeypatch.setattr(estimator, "_MEMO_SIZE", 3)
+        estimator._memo.clear()
+        frames = [FrameObservation(64, 19, 28, 17, identified) for identified in (28, 29, 30, 31)]
+        for obs in frames[:3]:
+            map_estimate(obs, MprOrder(3))
+        map_estimate(frames[0], MprOrder(3))
+        population_estimates(frames[3:], MprOrder(3))
+        assert len(estimator._memo) == 3
+        assert [key[-1] - 68 for key in estimator._memo] == [30, 28, 31]
 
-    def test_repeated_key_is_a_hit(self):
-        _posterior_mode.cache_clear()
+    def test_repeated_key_is_a_hit(self, kernel_calls):
         first = map_estimate(self.OBS, MprOrder(3))
+        searched = len(kernel_calls)
+        assert searched > 0
         assert map_estimate(self.OBS, MprOrder(3)) == first
-        info = _posterior_mode.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        assert population_estimates([self.OBS] * 3, MprOrder(3)) == [first.n_hat] * 3
+        assert len(kernel_calls) == searched
 
-    def test_frames_differing_only_in_identified_do_not_share_an_answer(self):
+    def test_frames_differing_only_in_identified_do_not_share_an_answer(self, kernel_calls):
         # the mode is 130: k_min = 152 and 118 straddle it, so a key without
         # k_min would answer one of them wrongly
-        _posterior_mode.cache_clear()
-        estimates = [
-            map_estimate(FrameObservation(64, 19, 28, 17, identified), MprOrder(3))
-            for identified in (84, 28, 50, 84)
-        ]
-        info = _posterior_mode.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
-        assert [est.n_hat for est in estimates] == [152, 130, 130, 152]
-        for identified, est in zip((84, 28, 50, 84), estimates):
-            k_min = identified + 4 * 17
-            assert est.n_hat == brute_force_map(64, 19, 28, 17, 3, k_max=1920, k_min=k_min)
+        frames = [FrameObservation(64, 19, 28, 17, identified) for identified in (84, 28, 50, 84)]
+
+        def one_by_one():
+            return [map_estimate(obs, MprOrder(3)).n_hat for obs in frames]
+
+        def batched():
+            return population_estimates(frames, MprOrder(3))
+
+        for estimate in (one_by_one, batched):
+            estimator._memo.clear()
+            n_hats = estimate()
+            assert len(estimator._memo) == 3
+            assert n_hats == [152, 130, 130, 152]
+            searched = len(kernel_calls)
+            assert one_by_one() == batched() == n_hats
+            assert len(kernel_calls) == searched
+        for obs, n_hat in zip(frames, n_hats):
+            k_min = obs.identified + 4 * 17
+            assert n_hat == brute_force_map(64, 19, 28, 17, 3, k_max=1920, k_min=k_min)
             values = _log_posterior_array(np.arange(k_min, 1921), 64, 19, 28, 17, 3)
-            assert values[est.n_hat - k_min] == values.max()
+            assert values[n_hat - k_min] == values.max()
 
     def test_cold_cache_equals_warm_cache(self):
         rng = np.random.default_rng(11)
@@ -314,7 +366,7 @@ class TestMemo:
             frames.append((FrameObservation(L, L - S - C, S, C, identified), MprOrder(M)))
         cold = []
         for obs, mpr in frames:
-            _posterior_mode.cache_clear()
+            estimator._memo.clear()
             cold.append(map_estimate(obs, mpr))
         warm = [map_estimate(obs, mpr) for obs, mpr in frames * 2]
         assert warm == cold * 2
@@ -368,6 +420,88 @@ class TestPopulationEstimate:
     def test_collision_free_frame_is_checked(self):
         with pytest.raises(ValueError):
             population_estimate(FrameObservation(L=10, E=6, S=4, C=0, identified=9), MprOrder(2))
+        with pytest.raises(ValueError):
+            population_estimates(
+                [EXAMPLE, FrameObservation(L=10, E=6, S=4, C=0, identified=9)], MprOrder(2)
+            )
+
+    def test_batch_makes_one_kernel_call_per_window_round(self, kernel_calls):
+        # the first frames of 50 trials of the FSA cell n=1000, M=1, L0=128
+        mpr = MprOrder(1)
+        frames = [
+            run_frame(1000, 128, mpr, _trial_rng(1, ("fsa", 1000, 1, 128), trial))
+            for trial in range(50)
+        ]
+        searched = [obs for obs in frames if 0 < obs.C < obs.L]
+        assert len(set(searched)) > 1
+        windows = []
+        for obs in searched:
+            estimator._memo.clear()
+            del kernel_calls[:]
+            map_estimate(obs, mpr)
+            windows.append(len(kernel_calls))
+        estimator._memo.clear()
+        del kernel_calls[:]
+        n_hats = population_estimates(frames, mpr)
+        assert len(kernel_calls) == max(windows) > 1
+        # a DFSA run has already estimated its first frame: the batch searches nothing
+        estimator._memo.clear()
+        for obs in frames:
+            map_estimate(obs, mpr)
+        del kernel_calls[:]
+        assert population_estimates(frames, mpr) == n_hats
+        assert kernel_calls == []
+
+
+#: brute force runs where the search cap 10 L M is at most this
+_BRUTE_FORCE_CAP = 4096
+
+
+@st.composite
+def frame_batches(draw):
+    """An M in [1, 8] and a batch of frames with L in [1, 2048], among them
+    frames with C = 0 and C = L, frames that differ only in identified, and
+    repeated frames."""
+    M = draw(st.integers(1, 8))
+    # half of the lengths are short enough for brute force
+    lengths = st.one_of(st.integers(1, _BRUTE_FORCE_CAP // (10 * M)), st.integers(1, 2048))
+
+    def frame(collided):
+        L = draw(lengths)
+        C = collided(L)
+        S = draw(st.integers(0, L - C))
+        return FrameObservation(L, L - S - C, S, C, draw(st.integers(S, S * M)))
+
+    frames = [frame(lambda L: draw(st.integers(0, L))) for _ in range(draw(st.integers(1, 6)))]
+    frames += [frame(lambda L: 0), frame(lambda L: L)]
+    frames += [replace(obs, identified=draw(st.integers(obs.S, obs.S * M))) for obs in frames if obs.S]
+    frames += draw(st.lists(st.sampled_from(frames), max_size=4))
+    return M, draw(st.permutations(frames))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(frame_batches())
+def test_population_estimates_equal_map_estimate_and_brute_force(batch):
+    M, frames = batch
+    mpr = MprOrder(M)
+    expected = []
+    for obs in frames:
+        estimator._memo.clear()
+        expected.append(obs.identified if obs.C == 0 else map_estimate(obs, mpr).n_hat)
+    # a cold memo, one that some frames' own estimates filled, and a warm one
+    estimator._memo.clear()
+    assert population_estimates(frames, mpr) == expected
+    estimator._memo.clear()
+    for obs in frames[::2]:
+        map_estimate(obs, mpr)
+    assert population_estimates(frames, mpr) == expected
+    assert population_estimates(iter(frames), mpr) == expected
+    for obs, n_hat in zip(frames, expected):
+        k_max = 10 * obs.L * M
+        # an all-collided frame's posterior rises by less than the oracle's rounding near the cap
+        if 0 < obs.C < obs.L and k_max <= _BRUTE_FORCE_CAP:
+            k_min = search_lower_bound(obs, mpr)
+            assert n_hat == brute_force_map(obs.L, obs.E, obs.S, obs.C, M, k_max=k_max, k_min=k_min)
 
 
 def test_search_lower_bound_counts_collision_minimum():
