@@ -51,7 +51,8 @@ Many frames of one M are searched together by the same rule, row by row
 frame still unresolved in one kernel call over a 2-D array of candidates,
 and a frame leaves the batch once its argmax is final. This gives the
 one-frame answers bit for bit, since each kernel value depends on its own
-load only. A lone frame keeps the one-frame search, whose call costs less.
+load only. A round's windows are as wide as the one-frame search's, cut
+where the frame with the most room left below its cap would cut its own.
 
 Answers are remembered per process in one bounded memo that ``map_estimate``
 and ``population_estimates`` share: at most 4,096 keys (L, E, S, C, M, k_min),
@@ -77,8 +78,9 @@ from .prob_model import MprOrder, log_slot_probabilities, require_count
 _FIRST_WINDOW = 64
 _WINDOW_GROWTH = 4
 
-#: the most candidates in one kernel call of the row-wise search; a window
-#: round with more is split, so its arrays stay at a few megabytes
+#: the row-wise search splits a window round into kernel calls of at most
+#: this many candidates, but never splits one frame's window, which can be
+#: as long as the one-frame search's (the kernel blocks its own memory)
 _BATCH_ENTRIES = 2**16
 
 #: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
@@ -194,15 +196,17 @@ def _first_argmaxes_of_concave(
 
     ``evaluate(rows, ks)`` maps the indices of some rows, and their
     candidates with one row of ``ks`` each, to the values. A window round
-    calls it once for every ``_BATCH_ENTRIES`` candidates.
+    calls it once per group of rows whose windows fill ``_BATCH_ENTRIES``
+    candidates, and once per row where one window alone is longer.
     """
     lo = np.array(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     rows = np.arange(lo.size)
     width = _FIRST_WINDOW
     while rows.size:
-        offsets = np.arange(width)
-        step = max(1, _BATCH_ENTRIES // width)
+        # a window is cut at the cap: here, at the cap of the row with the most room
+        offsets = np.arange(min(width, int((hi[rows] - lo[rows]).max()) + 1))
+        step = max(1, _BATCH_ENTRIES // offsets.size)
         i = np.empty(rows.size, dtype=np.int64)
         for start in range(0, rows.size, step):
             part = rows[start : start + step]
@@ -211,7 +215,8 @@ def _first_argmaxes_of_concave(
             values[ks > hi[part, None]] = -np.inf
             i[start : start + step] = values.argmax(axis=1)
         lo[rows] += i
-        # only an argmax on a full window's last candidate, below the cap, goes on
+        # only an argmax on a full window's last candidate, below the cap, goes
+        # on; a round cut short at the cap has no such candidate
         rows = rows[(i == width - 1) & (lo[rows] < hi[rows])]
         width *= _WINDOW_GROWTH
     return lo
@@ -289,8 +294,7 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
     A frame with no collided slot decoded every tag that replied, so its
     count is ``identified``; any other frame's is ``map_estimate(obs,
     mpr).n_hat``. Frames with the same key share one answer, remembered
-    answers are reused, and the rest are searched together. A lone miss
-    takes the one-frame search, which costs less than a one-row batch.
+    answers are reused, and the rest are searched together.
     """
     frames = list(frames)
     keys = []
@@ -302,9 +306,7 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
             keys.append((obs.L, obs.E, obs.S, obs.C, mpr.M, search_lower_bound(obs, mpr)))
     modes = {key: _mode_without_search(key) for key in dict.fromkeys(keys) if key is not None}
     misses = [key for key, mode in modes.items() if mode is None]
-    if len(misses) == 1:
-        modes[misses[0]] = _search(misses[0])
-    elif misses:
+    if misses:
         modes.update(zip(misses, _search_rows(misses)))
     return [obs.identified if key is None else modes[key] for obs, key in zip(frames, keys)]
 

@@ -304,6 +304,29 @@ class TestWindowSearch:
         for search in SEARCHES:
             assert search(lambda ks: ks.astype(float), 0, 1000) == 1000
 
+    def test_two_rows_at_a_large_mpr_order_evaluate_their_own_windows(self):
+        # at M = 400 every candidate costs a 400-term sum. Row 0 peaks in its
+        # first window; row 1 still rises at a cap 700 above its start, so its
+        # third window is cut to the 383 candidates left
+        M = 400
+        frames = [(10, 9, 0, 1), (10, 1, 3, 6)]
+        lo, hi = [401, 2409], [40_000, 3109]
+        evaluated = []
+
+        def evaluate(rows, ks):
+            evaluated.extend(zip(rows.tolist(), [row_ks.size for row_ks in ks]))
+            return np.stack([_log_posterior_array(k, *frames[r], M) for r, k in zip(rows, ks)])
+
+        scalar = [
+            _first_argmax_of_concave(lambda ks, r=r: evaluate(np.array([r]), ks[None])[0], lo[r], hi[r])
+            for r in (0, 1)
+        ]
+        assert scalar == [401, 3109]
+        assert evaluated == [(0, 64), (1, 64), (1, 256), (1, 383)]
+        del evaluated[:]
+        assert _first_argmaxes_of_concave(evaluate, lo, hi).tolist() == scalar
+        assert evaluated == [(0, 64), (1, 64), (1, 256), (1, 383)]
+
 
 class TestMemo:
     OBS = FrameObservation(L=64, E=19, S=28, C=17, identified=40)
