@@ -39,20 +39,18 @@ k -> x is linear):
 A test also checks the computed posterior's second differences in k, over
 L in [1, 2048] and M in [1, 8], since the search sees rounded values.
 
-The search evaluates a window of 64 candidates from k_min in one kernel
-call and takes its first argmax, so ties go to the smaller k. An argmax
-with a candidate after it in the window is final: a concave sequence that
-has stopped rising never rises again. An argmax on the window's last
-candidate restarts the window there, 4 times wider, until the window
-reaches k_max.
+The search evaluates a window of 64 candidates from k_min, cut at k_max,
+and takes its first argmax, so ties go to the smaller k. An argmax with a
+candidate after it in the window is final: a concave sequence that has
+stopped rising never rises again. An argmax on the window's last candidate
+below k_max restarts the window there, 4 times wider.
 
-Many frames of one M are searched together by the same rule, row by row
-(``population_estimates``). Each window round evaluates the windows of every
-frame still unresolved in one kernel call over a 2-D array of candidates,
-and a frame leaves the batch once its argmax is final. This gives the
-one-frame answers bit for bit, since each kernel value depends on its own
-load only. A round's windows are as wide as the one-frame search's, cut
-where the frame with the most room left below its cap would cut its own.
+This rule lives in one generator, ``_window_search``, and two drivers step
+it. ``map_estimate`` evaluates one frame's windows one kernel call each.
+``population_estimates`` steps the searches of many frames of one M in
+lockstep: each round evaluates the windows of every frame still unresolved
+together, over a 2-D array of candidates. Each kernel value depends on its
+own load only, so both give the same answers bit for bit.
 
 Answers are remembered per process in one bounded memo that ``map_estimate``
 and ``population_estimates`` share: at most 4,096 keys (L, E, S, C, M, k_min),
@@ -66,10 +64,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Generator, Iterable, Optional
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .prob_model import MprOrder, log_slot_probabilities, require_count
 
@@ -78,7 +75,7 @@ from .prob_model import MprOrder, log_slot_probabilities, require_count
 _FIRST_WINDOW = 64
 _WINDOW_GROWTH = 4
 
-#: the row-wise search splits a window round into kernel calls of at most
+#: the lockstep search splits a window round into kernel calls of at most
 #: this many candidates, but never splits one frame's window, which can be
 #: as long as the one-frame search's (the kernel blocks its own memory)
 _BATCH_ENTRIES = 2**16
@@ -170,56 +167,20 @@ def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
     return obs.identified + (mpr.M + 1) * obs.C
 
 
-def _first_argmax_of_concave(
-    evaluate: Callable[[np.ndarray], np.ndarray], lo: int, hi: int
-) -> int:
-    """First argmax over [lo, hi] of a function concave on the integers.
+def _window_search(lo: int, hi: int) -> Generator[tuple[int, int], int, int]:
+    """The window rule of the mode search over [lo, hi] (see the module docstring).
 
-    ``evaluate`` maps an array of candidates to their values; it is called
-    once per window (see the module docstring).
+    Yields each window as (first candidate, size) and is sent the offset of
+    the window's first argmax; returns the first argmax over [lo, hi] of a
+    function concave on the integers.
     """
     width = _FIRST_WINDOW
     while True:
-        ks = np.arange(lo, min(lo + width, hi + 1))
-        values = evaluate(ks)
-        i = int(values.argmax())
-        if i < ks.size - 1 or lo + i == hi:
+        size = min(width, hi - lo + 1)
+        i = yield lo, size
+        if i < size - 1 or lo + i == hi:
             return lo + i
         lo, width = lo + i, width * _WINDOW_GROWTH
-
-
-def _first_argmaxes_of_concave(
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: ArrayLike, hi: ArrayLike
-) -> np.ndarray:
-    """``_first_argmax_of_concave`` row by row: the first argmax over
-    [lo[r], hi[r]] of each row r's concave function, by the same windows.
-
-    ``evaluate(rows, ks)`` maps the indices of some rows, and their
-    candidates with one row of ``ks`` each, to the values. A window round
-    calls it once per group of rows whose windows fill ``_BATCH_ENTRIES``
-    candidates, and once per row where one window alone is longer.
-    """
-    lo = np.array(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    rows = np.arange(lo.size)
-    width = _FIRST_WINDOW
-    while rows.size:
-        # a window is cut at the cap: here, at the cap of the row with the most room
-        offsets = np.arange(min(width, int((hi[rows] - lo[rows]).max()) + 1))
-        step = max(1, _BATCH_ENTRIES // offsets.size)
-        i = np.empty(rows.size, dtype=np.int64)
-        for start in range(0, rows.size, step):
-            part = rows[start : start + step]
-            ks = lo[part, None] + offsets
-            values = evaluate(part, ks)
-            values[ks > hi[part, None]] = -np.inf
-            i[start : start + step] = values.argmax(axis=1)
-        lo[rows] += i
-        # only an argmax on a full window's last candidate, below the cap, goes
-        # on; a round cut short at the cap has no such candidate
-        rows = rows[(i == width - 1) & (lo[rows] < hi[rows])]
-        width *= _WINDOW_GROWTH
-    return lo
 
 
 def _mode_without_search(key: _MemoKey) -> Optional[int]:
@@ -244,29 +205,56 @@ def _remember(key: _MemoKey, mode: int) -> None:
 def _search(key: _MemoKey) -> int:
     """First argmax over [k_min, 10*L*M] of the key's posterior, remembered."""
     L, E, S, C, M, k_min = key
-    mode = _first_argmax_of_concave(
-        lambda ks: _log_posterior_array(ks, L, E, S, C, M), k_min, 10 * L * M
-    )
+    search = _window_search(k_min, 10 * L * M)
+    lo, size = next(search)
+    try:
+        while True:
+            values = _log_posterior_array(np.arange(lo, lo + size), L, E, S, C, M)
+            lo, size = search.send(int(values.argmax()))
+    except StopIteration as done:
+        mode = done.value
     _remember(key, mode)
     return mode
 
 
 def _search_rows(keys: list[_MemoKey]) -> list[int]:
-    """``_search`` of many keys of one M, with one kernel call per window
-    round for all of them.
+    """``_search`` of many keys of one M, stepped in lockstep: each round
+    evaluates the windows of every key still unresolved together.
 
-    Every key has a collided slot, so its candidates are at least M+1, where
-    every log-probability is finite. A class with no slots then adds a zero,
-    and each row's values are exactly ``_log_posterior_array``'s.
+    A round pads each window to the round's widest with -inf, and makes one
+    kernel call per group of keys whose windows fill ``_BATCH_ENTRIES``
+    candidates. Every key has a collided slot, so its candidates are at least
+    M+1, where every log-probability is finite. A class with no slots then
+    adds a zero, and each row's values are exactly ``_log_posterior_array``'s.
     """
     L, E, S, C, Ms, k_min = np.array(keys).T
     M = int(Ms[0])
-
-    def evaluate(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        log_e, log_s, log_c = log_slot_probabilities(ks / L[rows, None], M)
-        return E[rows, None] * log_e + S[rows, None] * log_s + C[rows, None] * log_c
-
-    modes = _first_argmaxes_of_concave(evaluate, k_min, 10 * L * M).tolist()
+    modes = [0] * len(keys)
+    # (row, its search, its window) for every key still unresolved, in key order
+    live = []
+    for row, (lo, hi) in enumerate(zip(k_min.tolist(), (10 * L * M).tolist())):
+        search = _window_search(lo, hi)
+        live.append((row, search, next(search)))
+    while live:
+        rows = np.array([row for row, _, _ in live])
+        lo, size = np.array([window for _, _, window in live]).T
+        offsets = np.arange(size.max())
+        step = max(1, _BATCH_ENTRIES // offsets.size)
+        i = np.empty(rows.size, dtype=np.int64)
+        for start in range(0, rows.size, step):
+            part = slice(start, start + step)
+            r = rows[part, None]
+            log_e, log_s, log_c = log_slot_probabilities((lo[part, None] + offsets) / L[r], M)
+            values = E[r] * log_e + S[r] * log_s + C[r] * log_c
+            values[offsets >= size[part, None]] = -np.inf
+            i[part] = values.argmax(axis=1)
+        unresolved = []
+        for (row, search, _), offset in zip(live, i.tolist()):
+            try:
+                unresolved.append((row, search, search.send(offset)))
+            except StopIteration as done:
+                modes[row] = done.value
+        live = unresolved
     for key, mode in zip(keys, modes):
         _remember(key, mode)
     return modes

@@ -49,16 +49,22 @@ def verify_stationarity(n, mpr):
 def trinomial_log_posterior(k, L, E, S, C, M, include_constant=True):
     x = k / L
     T = sum(x**j / math.factorial(j) for j in range(M + 1))
-    log_p = (E + S + C) * (-x)
+    log_p = (E + S) * (-x)
     if S:
         if T - 1.0 <= 0.0:
             return -math.inf
         log_p += S * math.log(T - 1.0)
     if C:
-        tail = math.exp(x) - T
-        if tail <= 0.0:
-            return -math.inf
-        log_p += C * math.log(tail)
+        # log P(X > M): once P(X <= M) = T exp(-x) is below 1/2, log1p keeps
+        # the digits that exp(x) - T would round away near an all-collided cap
+        below = T * math.exp(-x)
+        if below < 0.5:
+            log_p += C * math.log1p(-below)
+        else:
+            tail = math.exp(x) - T
+            if tail <= 0.0:
+                return -math.inf
+            log_p += C * (math.log(tail) - x)
     if include_constant:
         log_p += (
             math.lgamma(L + 1)

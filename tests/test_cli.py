@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 import dfsa_mpr.cli as cli
+import dfsa_mpr.estimator as estimator
 import dfsa_mpr.protocol as protocol
 from dfsa_mpr.cli import main, parse_int_list
 
@@ -44,6 +45,18 @@ def test_estimate_prefers_exact_count_without_collisions(capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "5"
+
+
+def test_estimate_without_collisions_evaluates_no_posterior(monkeypatch, capsys):
+    # the count printed is `identified`, so a MAP search would be thrown away
+    estimator._memo.clear()
+    calls = []
+    monkeypatch.setattr(estimator, "log_slot_probabilities", lambda *args: calls.append(args))
+    argv = ["estimate", "--L", "10", "--E", "7", "--S", "3", "--C", "0", "--M", "1000000",
+            "--identified", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert calls == []
 
 
 def test_estimate_curve_output(tmp_path, capsys):

@@ -10,9 +10,8 @@ from conftest import brute_force_map, trinomial_log_posterior
 from dfsa_mpr import estimator
 from dfsa_mpr.estimator import (
     FrameObservation,
-    _first_argmax_of_concave,
-    _first_argmaxes_of_concave,
     _log_posterior_array,
+    _window_search,
     map_estimate,
     population_estimate,
     population_estimates,
@@ -273,59 +272,50 @@ def test_log_posterior_is_concave_in_k(frame):
     assert np.all(second <= 1e-12 * scale)
 
 
-def _row_wise(evaluate, lo, hi):
-    """The row-wise search on one row, called like the scalar one."""
-    return int(_first_argmaxes_of_concave(lambda rows, ks: evaluate(ks), [lo], [hi])[0])
-
-
-#: the scalar search and the row-wise one, which must agree on every case
-SEARCHES = (_first_argmax_of_concave, _row_wise)
+def _step_window_search(evaluate, lo, hi):
+    """Steps ``_window_search`` over [lo, hi], evaluating each window's
+    candidates; returns the mode and the window sizes."""
+    search = _window_search(lo, hi)
+    start, size = next(search)
+    sizes = []
+    try:
+        while True:
+            sizes.append(size)
+            values = evaluate(np.arange(start, start + size))
+            start, size = search.send(int(values.argmax()))
+    except StopIteration as done:
+        return done.value, sizes
 
 
 class TestWindowSearch:
     def test_tie_across_the_first_window_edge_returns_the_smaller_k(self):
         # candidates lo+63 (last of the first window) and lo+64 tie at the top
         lo = 10
-        for search in SEARCHES:
-            calls = []
-
-            def evaluate(ks):
-                calls.append(ks.size)
-                return -np.abs(ks - (lo + 63.5))
-
-            assert search(evaluate, lo, 10**6) == lo + 63
-            assert calls == [64, 256]
+        mode, sizes = _step_window_search(lambda ks: -np.abs(ks - (lo + 63.5)), lo, 10**6)
+        assert (mode, sizes) == (lo + 63, [64, 256])
 
     def test_plateau_returns_its_first_candidate(self):
-        for search in SEARCHES:
-            assert search(lambda ks: np.zeros(ks.shape), 5, 10**6) == 5
+        assert _step_window_search(lambda ks: np.zeros(ks.shape), 5, 10**6) == (5, [64])
 
     def test_rising_function_stops_at_the_upper_end(self):
-        for search in SEARCHES:
-            assert search(lambda ks: ks.astype(float), 0, 1000) == 1000
+        # the third window is cut to the 683 candidates left below the cap
+        assert _step_window_search(lambda ks: ks.astype(float), 0, 1000) == (1000, [64, 256, 683])
 
-    def test_two_rows_at_a_large_mpr_order_evaluate_their_own_windows(self):
-        # at M = 400 every candidate costs a 400-term sum. Row 0 peaks in its
-        # first window; row 1 still rises at a cap 700 above its start, so its
-        # third window is cut to the 383 candidates left
-        M = 400
-        frames = [(10, 9, 0, 1), (10, 1, 3, 6)]
-        lo, hi = [401, 2409], [40_000, 3109]
-        evaluated = []
-
-        def evaluate(rows, ks):
-            evaluated.extend(zip(rows.tolist(), [row_ks.size for row_ks in ks]))
-            return np.stack([_log_posterior_array(k, *frames[r], M) for r, k in zip(rows, ks)])
-
-        scalar = [
-            _first_argmax_of_concave(lambda ks, r=r: evaluate(np.array([r]), ks[None])[0], lo[r], hi[r])
-            for r in (0, 1)
-        ]
-        assert scalar == [401, 3109]
-        assert evaluated == [(0, 64), (1, 64), (1, 256), (1, 383)]
-        del evaluated[:]
-        assert _first_argmaxes_of_concave(evaluate, lo, hi).tolist() == scalar
-        assert evaluated == [(0, 64), (1, 64), (1, 256), (1, 383)]
+    def test_lockstep_rounds_are_cut_at_the_caps_of_the_rows_left(self, kernel_calls):
+        # the first frame peaks in its first window; the second's third window
+        # is cut to the 806 candidates left below its cap 10 L M = 1320
+        mpr = MprOrder(2)
+        frames = [EXAMPLE, FrameObservation(L=66, E=0, S=1, C=65, identified=2)]
+        n_hats = []
+        for obs, loads in zip(frames, ([64], [64, 256, 806])):
+            del kernel_calls[:]
+            n_hats.append(map_estimate(obs, mpr).n_hat)
+            assert kernel_calls == loads
+        assert n_hats == [30, 520]
+        estimator._memo.clear()
+        del kernel_calls[:]
+        assert population_estimates(frames, mpr) == n_hats
+        assert kernel_calls == [2 * 64, 256, 806]
 
 
 class TestMemo:
@@ -521,8 +511,7 @@ def test_population_estimates_equal_map_estimate_and_brute_force(batch):
     assert population_estimates(iter(frames), mpr) == expected
     for obs, n_hat in zip(frames, expected):
         k_max = 10 * obs.L * M
-        # an all-collided frame's posterior rises by less than the oracle's rounding near the cap
-        if 0 < obs.C < obs.L and k_max <= _BRUTE_FORCE_CAP:
+        if obs.C > 0 and k_max <= _BRUTE_FORCE_CAP:
             k_min = search_lower_bound(obs, mpr)
             assert n_hat == brute_force_map(obs.L, obs.E, obs.S, obs.C, M, k_max=k_max, k_min=k_min)
 
