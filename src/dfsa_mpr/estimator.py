@@ -19,7 +19,7 @@ k_max = 10 * L * M. An all-collided frame (C = L) has a likelihood
 P(X>M)^L that rises strictly in k, so no finite mode exists; its estimate is
 k_max itself, and ``MapEstimate.saturated`` says so.
 
-Any other frame is searched by windows, which is exact because the log
+Any other frame is searched in rounds, which is exact because the log
 posterior is concave in k. This is proved, term by term in x = k/L (the map
 k -> x is linear):
 
@@ -39,18 +39,33 @@ k -> x is linear):
 A test also checks the computed posterior's second differences in k, over
 L in [1, 2048] and M in [1, 8], since the search sees rounded values.
 
-The search evaluates a window of 64 candidates from k_min, cut at k_max,
-and takes its first argmax, so ties go to the smaller k. An argmax with a
-candidate after it in the window is final: a concave sequence that has
-stopped rising never rises again. An argmax on the window's last candidate
-below k_max restarts the window there, 4 times wider.
+The search runs in rounds, and no round evaluates more than 1,024
+candidates. The first evaluates a window of 64 candidates from k_min, cut
+at k_max, and takes its first argmax, so ties go to the smaller k. An argmax
+with a candidate after it in the window is final: a concave sequence that
+has stopped rising never rises again. An argmax on the window's last
+candidate below k_max restarts the window there, 4 times wider, up to
+1,024 candidates.
 
-This rule lives in one generator, ``_window_search``, and two drivers step
-it. ``map_estimate`` evaluates one frame's windows one kernel call each.
+Past the 1,024-candidate window the posterior rises into its last
+candidate a, so the mode lies in the bracket [a, b], with b = k_max at
+first. While the bracket holds more than 1,024 candidates, a round
+evaluates 512 probe pairs (p, p+1), at the points that cut [a, b] into 513
+equal parts. The differences of a concave sequence never increase, so the
+mode is the first k with f(k+1) <= f(k): the first pair that stops rising
+sets b = p, and a becomes one past the probe before it. If every pair
+rises, a becomes one past the last probe. Each round narrows the bracket
+about 513-fold, and one window over the last bracket gives its first
+argmax. A tie inside a pair turns it down, so ties still go to the
+smaller k.
+
+This rule lives in one generator, ``_window_search``, which yields each
+round's candidates and is sent their values, and two drivers step it.
+``map_estimate`` evaluates one frame's rounds one kernel call each.
 ``population_estimates`` steps the searches of many frames of one M in
-lockstep: each round evaluates the windows of every frame still unresolved
-together, over a 2-D array of candidates. Each kernel value depends on its
-own load only, so both give the same answers bit for bit.
+lockstep: each round evaluates the candidates of every frame still
+unresolved together, over a 2-D array of candidates. Each kernel value
+depends on its own load only, so both give the same answers bit for bit.
 
 Answers are remembered per process in one bounded memo that ``map_estimate``
 and ``population_estimates`` share: at most 4,096 keys (L, E, S, C, M, k_min),
@@ -70,14 +85,15 @@ import numpy as np
 
 from .prob_model import MprOrder, log_slot_probabilities, require_count
 
-#: candidates in the first window of the mode search, and the factor by
-#: which each later window is wider
+#: candidates in the first window of the mode search, the factor by which
+#: each later window is wider, and the most candidates any round evaluates
 _FIRST_WINDOW = 64
 _WINDOW_GROWTH = 4
+_ROUND_CAP = 1024
 
-#: the lockstep search splits a window round into kernel calls of at most
-#: this many candidates, but never splits one frame's window, which can be
-#: as long as the one-frame search's (the kernel blocks its own memory)
+#: the lockstep search splits a round into kernel calls of at most this
+#: many candidates, but never splits one frame's row; a row holds at most
+#: ``_ROUND_CAP`` candidates, so a call holds at least 64 rows
 _BATCH_ENTRIES = 2**16
 
 #: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
@@ -167,17 +183,32 @@ def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
     return obs.identified + (mpr.M + 1) * obs.C
 
 
-def _window_search(lo: int, hi: int) -> Generator[tuple[int, int], int, int]:
-    """The window rule of the mode search over [lo, hi] (see the module docstring).
+def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
+    """The rule of the mode search over [lo, hi] (see the module docstring).
 
-    Yields each window as (first candidate, size) and is sent the offset of
-    the window's first argmax; returns the first argmax over [lo, hi] of a
-    function concave on the integers.
+    Yields each round's candidates and is sent their values; returns the
+    first argmax over [lo, hi] of a function concave on the integers.
     """
     width = _FIRST_WINDOW
     while True:
+        if width > _ROUND_CAP and hi - lo >= _ROUND_CAP:
+            # the values rise into lo and the mode lies in [lo, hi]: probe
+            # pairs at the 512 points that cut [lo, hi] into 513 equal parts
+            # (j (hi - lo) // 513, without overflow), and narrow to the first
+            # pair that stops rising
+            j = np.arange(1, _ROUND_CAP // 2 + 1)
+            step, rest = divmod(hi - lo, j.size + 1)
+            probes = lo + j * step + j * rest // (j.size + 1)
+            values = yield np.stack((probes, probes + 1), axis=1).ravel()
+            down = values[1::2] <= values[::2]
+            i = int(down.argmax())
+            if not down[i]:
+                lo = int(probes[-1]) + 1
+            else:
+                lo, hi = (lo if i == 0 else int(probes[i - 1]) + 1), int(probes[i])
+            continue
         size = min(width, hi - lo + 1)
-        i = yield lo, size
+        i = int((yield np.arange(lo, lo + size)).argmax())
         if i < size - 1 or lo + i == hi:
             return lo + i
         lo, width = lo + i, width * _WINDOW_GROWTH
@@ -206,11 +237,10 @@ def _search(key: _MemoKey) -> int:
     """First argmax over [k_min, 10*L*M] of the key's posterior, remembered."""
     L, E, S, C, M, k_min = key
     search = _window_search(k_min, 10 * L * M)
-    lo, size = next(search)
+    ks = next(search)
     try:
         while True:
-            values = _log_posterior_array(np.arange(lo, lo + size), L, E, S, C, M)
-            lo, size = search.send(int(values.argmax()))
+            ks = search.send(_log_posterior_array(ks, L, E, S, C, M))
     except StopIteration as done:
         mode = done.value
     _remember(key, mode)
@@ -219,39 +249,39 @@ def _search(key: _MemoKey) -> int:
 
 def _search_rows(keys: list[_MemoKey]) -> list[int]:
     """``_search`` of many keys of one M, stepped in lockstep: each round
-    evaluates the windows of every key still unresolved together.
+    evaluates the candidates of every key still unresolved together.
 
-    A round pads each window to the round's widest with -inf, and makes one
-    kernel call per group of keys whose windows fill ``_BATCH_ENTRIES``
-    candidates. Every key has a collided slot, so its candidates are at least
-    M+1, where every log-probability is finite. A class with no slots then
-    adds a zero, and each row's values are exactly ``_log_posterior_array``'s.
+    A round pads each key's candidates to the round's widest with its last
+    candidate, and makes one kernel call per group of keys whose rows fill
+    ``_BATCH_ENTRIES`` candidates; each search is sent its own values only.
+    Every key has a collided slot, so its candidates are at least M+1, where
+    every log-probability is finite. A class with no slots then adds a zero,
+    and each row's values are exactly ``_log_posterior_array``'s.
     """
     L, E, S, C, Ms, k_min = np.array(keys).T
     M = int(Ms[0])
     modes = [0] * len(keys)
-    # (row, its search, its window) for every key still unresolved, in key order
+    # (row, its search, its candidates) for every key still unresolved, in key order
     live = []
     for row, (lo, hi) in enumerate(zip(k_min.tolist(), (10 * L * M).tolist())):
         search = _window_search(lo, hi)
         live.append((row, search, next(search)))
     while live:
         rows = np.array([row for row, _, _ in live])
-        lo, size = np.array([window for _, _, window in live]).T
-        offsets = np.arange(size.max())
-        step = max(1, _BATCH_ENTRIES // offsets.size)
-        i = np.empty(rows.size, dtype=np.int64)
+        width = max(ks.size for _, _, ks in live)
+        block = np.stack([ks if ks.size == width else np.pad(ks, (0, width - ks.size), "edge")
+                          for _, _, ks in live])
+        values = np.empty(block.shape)
+        step = max(1, _BATCH_ENTRIES // width)
         for start in range(0, rows.size, step):
             part = slice(start, start + step)
             r = rows[part, None]
-            log_e, log_s, log_c = log_slot_probabilities((lo[part, None] + offsets) / L[r], M)
-            values = E[r] * log_e + S[r] * log_s + C[r] * log_c
-            values[offsets >= size[part, None]] = -np.inf
-            i[part] = values.argmax(axis=1)
+            log_e, log_s, log_c = log_slot_probabilities(block[part] / L[r], M)
+            values[part] = E[r] * log_e + S[r] * log_s + C[r] * log_c
         unresolved = []
-        for (row, search, _), offset in zip(live, i.tolist()):
+        for (row, search, ks), row_values in zip(live, values):
             try:
-                unresolved.append((row, search, search.send(offset)))
+                unresolved.append((row, search, search.send(row_values[: ks.size])))
             except StopIteration as done:
                 modes[row] = done.value
         live = unresolved

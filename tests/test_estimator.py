@@ -273,16 +273,15 @@ def test_log_posterior_is_concave_in_k(frame):
 
 
 def _step_window_search(evaluate, lo, hi):
-    """Steps ``_window_search`` over [lo, hi], evaluating each window's
-    candidates; returns the mode and the window sizes."""
+    """Steps ``_window_search`` over [lo, hi], sending each round the values
+    of its candidates; returns the mode and the number of candidates per round."""
     search = _window_search(lo, hi)
-    start, size = next(search)
+    ks = next(search)
     sizes = []
     try:
         while True:
-            sizes.append(size)
-            values = evaluate(np.arange(start, start + size))
-            start, size = search.send(int(values.argmax()))
+            sizes.append(ks.size)
+            ks = search.send(evaluate(ks))
     except StopIteration as done:
         return done.value, sizes
 
@@ -301,6 +300,49 @@ class TestWindowSearch:
         # the third window is cut to the 683 candidates left below the cap
         assert _step_window_search(lambda ks: ks.astype(float), 0, 1000) == (1000, [64, 256, 683])
 
+    def test_rising_to_a_far_cap_evaluates_at_most_1024_candidates_a_round(self):
+        # after the third window, probe rounds narrow [1341, 10**6] to one
+        # candidate below the cap, and a last window of 2 candidates ends there
+        mode, sizes = _step_window_search(lambda ks: ks.astype(float), 0, 10**6)
+        assert mode == 10**6
+        assert sizes[:3] == [64, 256, 1024]
+        assert 3 < len(sizes) <= 6 and max(sizes[3:]) <= 1024
+
+    # a search over [0, 300000] rises out of its third window into 1341; its
+    # first probe round's pairs start at the 512 points that cut [1341, 300000]
+    # into 513 equal parts, 582 or 583 apart, so one window follows it
+    _HI = 300_000
+    _PROBES = 1341 + np.arange(1, 513) * (_HI - 1341) // 513
+
+    def _rounds(self, peak):
+        rounds = []
+
+        def evaluate(ks):
+            rounds.append(ks)
+            return -np.abs(ks - peak)
+
+        mode = _step_window_search(evaluate, 0, self._HI)[0]
+        assert [ks.size for ks in rounds[:4]] == [64, 256, 1024, 1024] and len(rounds) == 5
+        assert rounds[3][::2].tolist() == self._PROBES.tolist()
+        assert rounds[3][1::2].tolist() == (self._PROBES + 1).tolist()
+        return mode, rounds[-1]
+
+    @pytest.mark.parametrize("pair", [0, 99, 511])
+    def test_tie_on_a_probe_pair_returns_its_first_candidate(self, pair):
+        # f(p) = f(p+1) at the top: the pair turns down, and the last window
+        # runs from one past the previous probe (or from 1341) to p
+        p = int(self._PROBES[pair])
+        mode, last = self._rounds(p + 0.5)
+        assert mode == p
+        assert (last[0], last[-1]) == (self._PROBES[pair - 1] + 1 if pair else 1341, p)
+
+    def test_mode_one_past_the_last_probe(self):
+        # no pair turns down, and the last window starts at the mode
+        peak = int(self._PROBES[-1]) + 1
+        mode, last = self._rounds(peak)
+        assert mode == peak
+        assert (last[0], last[-1]) == (peak, self._HI)
+
     def test_lockstep_rounds_are_cut_at_the_caps_of_the_rows_left(self, kernel_calls):
         # the first frame peaks in its first window; the second's third window
         # is cut to the 806 candidates left below its cap 10 L M = 1320
@@ -316,6 +358,27 @@ class TestWindowSearch:
         del kernel_calls[:]
         assert population_estimates(frames, mpr) == n_hats
         assert kernel_calls == [2 * 64, 256, 806]
+
+    @pytest.mark.parametrize(
+        "L, E, S, C, M, n_hat",
+        [(300, 0, 1, 299, 2, 2933), (400, 1, 1, 398, 1, 2946), (4096, 0, 1, 4095, 8, 95393)],
+    )
+    def test_far_modes_are_found_by_probe_rounds(self, kernel_calls, L, E, S, C, M, n_hat):
+        # the window regrowth would evaluate up to 65,536 candidates at once
+        obs, mpr = FrameObservation(L, E, S, C, S), MprOrder(M)
+        assert map_estimate(obs, mpr).n_hat == n_hat
+        loads = list(kernel_calls)
+        assert loads[:4] == [64, 256, 1024, 1024] and max(loads) <= 1024
+        estimator._memo.clear()
+        del kernel_calls[:]
+        assert population_estimates([obs], mpr) == [n_hat]
+        assert kernel_calls == loads
+
+    def test_large_mpr_order_is_bounded_by_the_probe_rounds(self, kernel_calls):
+        # the window regrowth evaluated [64, 256, 1024, 4096, 16384], each
+        # candidate at O(M) cost
+        assert map_estimate(FrameObservation(10, 1, 3, 6, 3), MprOrder(3000)).n_hat == 25773
+        assert kernel_calls == [64, 256, 1024, 1024, 547]
 
 
 class TestMemo:
@@ -514,6 +577,32 @@ def test_population_estimates_equal_map_estimate_and_brute_force(batch):
         if obs.C > 0 and k_max <= _BRUTE_FORCE_CAP:
             k_min = search_lower_bound(obs, mpr)
             assert n_hat == brute_force_map(obs.L, obs.E, obs.S, obs.C, M, k_max=k_max, k_min=k_min)
+
+
+@st.composite
+def frames_up_to_the_probe_rounds(draw):
+    """An M in [1, 8] and a frame with L in [1, 4096] and a free slot; half
+    of them have C >= L - 3, whose modes lie far past the third window."""
+    L = draw(st.integers(1, 4096))
+    C = draw(st.one_of(st.integers(max(0, L - 3), L - 1), st.integers(0, L - 1)))
+    S = draw(st.integers(0, L - C))
+    M = draw(st.integers(1, 8))
+    return M, FrameObservation(L, L - S - C, S, C, draw(st.integers(S, S * M)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(frames_up_to_the_probe_rounds())
+def test_estimates_equal_the_first_argmax_over_the_whole_cap(frame):
+    M, obs = frame
+    mpr = MprOrder(M)
+    k_min, k_max = search_lower_bound(obs, mpr), 10 * obs.L * M
+    values = _log_posterior_array(np.arange(k_min, k_max + 1), obs.L, obs.E, obs.S, obs.C, M)
+    first_argmax = k_min + int(values.argmax())
+    estimator._memo.clear()
+    assert map_estimate(obs, mpr).n_hat == first_argmax
+    if obs.C > 0:
+        estimator._memo.clear()
+        assert population_estimates([obs], mpr) == [first_argmax]
 
 
 def test_search_lower_bound_counts_collision_minimum():
