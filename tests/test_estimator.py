@@ -301,12 +301,10 @@ class TestWindowSearch:
         assert _step_window_search(lambda ks: ks.astype(float), 0, 1000) == (1000, [64, 256, 683])
 
     def test_rising_to_a_far_cap_evaluates_at_most_1024_candidates_a_round(self):
-        # after the third window, probe rounds narrow [1341, 10**6] to one
-        # candidate below the cap, and a last window of 2 candidates ends there
+        # no pair turns down, so two probe rounds narrow [1341, 10**6] to its
+        # last 4 candidates, and one window ends at the cap
         mode, sizes = _step_window_search(lambda ks: ks.astype(float), 0, 10**6)
-        assert mode == 10**6
-        assert sizes[:3] == [64, 256, 1024]
-        assert 3 < len(sizes) <= 6 and max(sizes[3:]) <= 1024
+        assert (mode, sizes) == (10**6, [64, 256, 1024, 1024, 1024, 4])
 
     # a search over [0, 300000] rises out of its third window into 1341; its
     # first probe round's pairs start at the 512 points that cut [1341, 300000]
