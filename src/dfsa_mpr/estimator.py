@@ -39,25 +39,29 @@ k -> x is linear):
 A test also checks the computed posterior's second differences in k, over
 L in [1, 2048] and M in [1, 8], since the search sees rounded values.
 
-The search runs in rounds, and no round evaluates more than 1,024
-candidates. The first evaluates a window of 64 candidates from k_min, cut
-at k_max, and takes its first argmax, so ties go to the smaller k. An argmax
-with a candidate after it in the window is final: a concave sequence that
-has stopped rising never rises again. An argmax on the window's last
-candidate below k_max restarts the window there, 4 times wider, up to
-1,024 candidates.
+The search runs in rounds, and no round evaluates more than 256 candidates
+for one frame. The first evaluates a window of 64 candidates from k_min,
+cut at k_max, and takes its first argmax, so ties go to the smaller k. An
+argmax with a candidate after it in the window is final: a concave sequence
+that has stopped rising never rises again. An argmax on the window's last
+candidate below k_max restarts the window there, 4 times wider, at 256
+candidates.
 
-Past the 1,024-candidate window the posterior rises into its last
-candidate a, so the mode lies in the bracket [a, b], with b = k_max at
-first. While the bracket holds more than 1,024 candidates, a round
-evaluates 512 probe pairs (p, p+1), at the points that cut [a, b] into 513
-equal parts. The differences of a concave sequence never increase, so the
-mode is the first k with f(k+1) <= f(k): the first pair that stops rising
-sets b = p, and a becomes one past the probe before it. If every pair
-rises, a becomes one past the last probe. Each round narrows the bracket
-about 513-fold, and one window over the last bracket gives its first
-argmax. A tie inside a pair turns it down, so ties still go to the
-smaller k.
+Past the 256-candidate window the posterior rises into its last candidate
+a, so the mode lies in the bracket [a, b], with b = k_max at first. While
+the bracket holds 256 candidates or more, a round evaluates 32 probe pairs
+(p, p+1), at the points that cut [a, b] into 33 equal parts. The
+differences of a concave sequence never increase, so the mode is the first
+k with f(k+1) <= f(k): the first pair that stops rising sets b = p, and a
+becomes one past the probe before it. If every pair rises, a becomes one
+past the last probe. Each round narrows the bracket about 33-fold, and one
+window over the last bracket, of at most 255 candidates, gives its first
+argmax. A tie inside a pair turns it down, so ties still go to the smaller
+k. Many narrow rounds beat few wide ones because a kernel call costs about
+as much before its first candidate as several hundred candidates do.
+
+Every candidate is held in int64, so a frame that needs a search and whose
+k_max exceeds 2^63 - 1 raises ValueError.
 
 This rule lives in one generator, ``_window_search``, which yields each
 round's candidates and is sent their values, and two drivers step it.
@@ -86,14 +90,19 @@ import numpy as np
 from .prob_model import MprOrder, log_slot_probabilities, require_count
 
 #: candidates in the first window of the mode search, the factor by which
-#: each later window is wider, and the most candidates any round evaluates
+#: each later window is wider, the most candidates any round evaluates, and
+#: the probe pairs of a round that brackets a far mode
 _FIRST_WINDOW = 64
 _WINDOW_GROWTH = 4
-_ROUND_CAP = 1024
+_ROUND_CAP = 256
+_PROBE_PAIRS = 32
+
+#: the largest search cap whose candidates int64 holds
+_INT64_MAX = 2**63 - 1
 
 #: the lockstep search splits a round into kernel calls of at most this
 #: many candidates, but never splits one frame's row; a row holds at most
-#: ``_ROUND_CAP`` candidates, so a call holds at least 64 rows
+#: ``_ROUND_CAP`` candidates, so a call holds at least 256 rows
 _BATCH_ENTRIES = 2**16
 
 #: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
@@ -188,17 +197,20 @@ def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
 
     Yields each round's candidates and is sent their values; returns the
     first argmax over [lo, hi] of a function concave on the integers.
+    Raises ValueError if hi does not fit in int64.
     """
+    if hi > _INT64_MAX:
+        raise ValueError(f"the search cap 10*L*M = {hi} exceeds 2**63 - 1")
     width = _FIRST_WINDOW
     while True:
-        if width > _ROUND_CAP and hi - lo >= _ROUND_CAP:
+        if width > _ROUND_CAP and hi - lo + 1 >= _ROUND_CAP:
             # the values rise into lo and the mode lies in [lo, hi]: probe
-            # pairs at the 512 points that cut [lo, hi] into 513 equal parts
-            # (j (hi - lo) // 513, without overflow), and narrow to the first
+            # pairs at the 32 points that cut [lo, hi] into 33 equal parts
+            # (j (hi - lo) // 33, without overflow), and narrow to the first
             # pair that stops rising
-            j = np.arange(1, _ROUND_CAP // 2 + 1)
-            step, rest = divmod(hi - lo, j.size + 1)
-            probes = lo + j * step + j * rest // (j.size + 1)
+            j = np.arange(1, _PROBE_PAIRS + 1)
+            step, rest = divmod(hi - lo, _PROBE_PAIRS + 1)
+            probes = lo + j * step + j * rest // (_PROBE_PAIRS + 1)
             values = yield np.stack((probes, probes + 1), axis=1).ravel()
             down = values[1::2] <= values[::2]
             i = int(down.argmax())
@@ -258,14 +270,15 @@ def _search_rows(keys: list[_MemoKey]) -> list[int]:
     every log-probability is finite. A class with no slots then adds a zero,
     and each row's values are exactly ``_log_posterior_array``'s.
     """
-    L, E, S, C, Ms, k_min = np.array(keys).T
-    M = int(Ms[0])
+    M = keys[0][4]
     modes = [0] * len(keys)
-    # (row, its search, its candidates) for every key still unresolved, in key order
+    # (row, its search, its candidates) for every key still unresolved, in
+    # key order; the caps are Python ints, checked before any numpy array
     live = []
-    for row, (lo, hi) in enumerate(zip(k_min.tolist(), (10 * L * M).tolist())):
-        search = _window_search(lo, hi)
+    for row, (L, _, _, _, _, k_min) in enumerate(keys):
+        search = _window_search(k_min, 10 * L * M)
         live.append((row, search, next(search)))
+    L, E, S, C = np.array([key[:4] for key in keys]).T
     while live:
         rows = np.array([row for row, _, _ in live])
         width = max(ks.size for _, _, ks in live)
@@ -296,6 +309,7 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     An all-collided frame gives the cap itself, and the estimate is
     ``saturated``. Answers are remembered in the memo that
     ``population_estimates`` shares, keyed on the tallies, M and k_min.
+    Any other frame whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
     """
     _require_valid_tallies(obs, mpr)
     k_min = search_lower_bound(obs, mpr)
@@ -312,7 +326,8 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
     A frame with no collided slot decoded every tag that replied, so its
     count is ``identified``; any other frame's is ``map_estimate(obs,
     mpr).n_hat``. Frames with the same key share one answer, remembered
-    answers are reused, and the rest are searched together.
+    answers are reused, and the rest are searched together. A frame that
+    needs a search and whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
     """
     frames = list(frames)
     keys = []

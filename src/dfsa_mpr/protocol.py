@@ -37,6 +37,9 @@ FRAME_SAFETY_CAP = 100_000
 #: the most slot choices an FSA run draws ahead of its frames in one call
 _DRAW_AHEAD = 2 ** 14
 
+#: the longest initial frame whose slots numpy can index (int64)
+_MAX_FRAME_LENGTH = 2**63 - 1
+
 
 class NonTerminationError(RuntimeError):
     """Raised when an interrogation exceeds the frame safety cap."""
@@ -59,6 +62,10 @@ class ProtocolConfig:
         if not isinstance(self.mpr, MprOrder):
             raise ValueError(f"mpr must be an MprOrder, got {self.mpr!r}")
         require_count("initial frame length", self.initial_frame_length, 1)
+        if self.initial_frame_length > _MAX_FRAME_LENGTH:
+            raise ValueError(
+                f"initial frame length must be < 2**63, got {self.initial_frame_length}"
+            )
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
 

@@ -220,6 +220,8 @@ def _simulate(n="5", m="1", l0="8"):
         [*_simulate(), "--trials", "abc"],
         [*_simulate(), "--parallel", "0"],
         [*_simulate(), "--parallel", "-3"],
+        # numpy cannot index 2**63 slots; the spec refuses it before the sweep starts
+        [*_simulate(l0=str(2**63)), "--variants", "fsa,dfsa"],
     ],
 )
 def test_simulate_bad_flag_value_is_one_error_line(argv, capsys):
@@ -288,6 +290,13 @@ def test_analyze_curve_too_large_to_hold_is_one_error_line(capsys):
 
 def test_analyze_tag_count_too_large_for_a_float_is_one_error_line(capsys):
     argv = ["analyze", "--optimal-length", "--tag-counts", "1" + "0" * 400, "--mpr-orders", "1"]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("L", [10**18, 2**63 - 1])
+def test_estimate_with_a_search_cap_past_int64_is_one_error_line(L, capsys):
+    argv = ["estimate", "--L", str(L), "--E", "1", "--S", "3", "--C", str(L - 4), "--M", "2"]
     assert main(argv) == 1
     _assert_one_error_line(capsys)
 

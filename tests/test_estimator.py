@@ -297,20 +297,37 @@ class TestWindowSearch:
         assert _step_window_search(lambda ks: np.zeros(ks.shape), 5, 10**6) == (5, [64])
 
     def test_rising_function_stops_at_the_upper_end(self):
-        # the third window is cut to the 683 candidates left below the cap
-        assert _step_window_search(lambda ks: ks.astype(float), 0, 1000) == (1000, [64, 256, 683])
+        # one probe round narrows [318, 1000] to its last 21 candidates
+        assert _step_window_search(lambda ks: ks.astype(float), 0, 1000) == (1000, [64, 256, 64, 21])
 
-    def test_rising_to_a_far_cap_evaluates_at_most_1024_candidates_a_round(self):
-        # no pair turns down, so two probe rounds narrow [1341, 10**6] to its
-        # last 4 candidates, and one window ends at the cap
+    def test_rising_to_a_far_cap_evaluates_at_most_256_a_round(self):
+        # no pair turns down, so three probe rounds narrow [318, 10**6] to its
+        # last 28 candidates, and one window ends at the cap
         mode, sizes = _step_window_search(lambda ks: ks.astype(float), 0, 10**6)
-        assert (mode, sizes) == (10**6, [64, 256, 1024, 1024, 1024, 4])
+        assert (mode, sizes) == (10**6, [64, 256, 64, 64, 64, 28])
 
-    # a search over [0, 300000] rises out of its third window into 1341; its
-    # first probe round's pairs start at the 512 points that cut [1341, 300000]
-    # into 513 equal parts, 582 or 583 apart, so one window follows it
-    _HI = 300_000
-    _PROBES = 1341 + np.arange(1, 513) * (_HI - 1341) // 513
+    @pytest.mark.parametrize("size, sizes", [(255, [64, 256, 255]), (256, [64, 256, 64, 8])])
+    def test_a_bracket_of_256_candidates_takes_a_probe_round(self, size, sizes):
+        # a rising search leaves its second window at 318, so the bracket is
+        # [318, hi] with hi = 318 + size - 1; a probe round's pairs start at
+        # 318 + j (hi - 318) // 33, and its last pair rises into the last 8
+        rounds = []
+
+        def evaluate(ks):
+            rounds.append(ks)
+            return ks.astype(float)
+
+        hi = 318 + size - 1
+        assert _step_window_search(evaluate, 0, hi) == (hi, sizes)
+        if size == 256:
+            probes = 318 + np.arange(1, 33) * (hi - 318) // 33
+            assert rounds[2].tolist() == np.stack((probes, probes + 1), axis=1).ravel().tolist()
+
+    # a search over [0, 8000] rises out of its second window into 318; its
+    # probe round's pairs start at the 32 points that cut [318, 8000] into 33
+    # equal parts, 232 or 233 apart, so one window follows it
+    _HI = 8000
+    _PROBES = 318 + np.arange(1, 33) * (_HI - 318) // 33
 
     def _rounds(self, peak):
         rounds = []
@@ -320,19 +337,19 @@ class TestWindowSearch:
             return -np.abs(ks - peak)
 
         mode = _step_window_search(evaluate, 0, self._HI)[0]
-        assert [ks.size for ks in rounds[:4]] == [64, 256, 1024, 1024] and len(rounds) == 5
-        assert rounds[3][::2].tolist() == self._PROBES.tolist()
-        assert rounds[3][1::2].tolist() == (self._PROBES + 1).tolist()
+        assert [ks.size for ks in rounds[:3]] == [64, 256, 64] and len(rounds) == 4
+        assert rounds[2][::2].tolist() == self._PROBES.tolist()
+        assert rounds[2][1::2].tolist() == (self._PROBES + 1).tolist()
         return mode, rounds[-1]
 
-    @pytest.mark.parametrize("pair", [0, 99, 511])
+    @pytest.mark.parametrize("pair", [0, 15, 31])
     def test_tie_on_a_probe_pair_returns_its_first_candidate(self, pair):
         # f(p) = f(p+1) at the top: the pair turns down, and the last window
-        # runs from one past the previous probe (or from 1341) to p
+        # runs from one past the previous probe (or from 318) to p
         p = int(self._PROBES[pair])
         mode, last = self._rounds(p + 0.5)
         assert mode == p
-        assert (last[0], last[-1]) == (self._PROBES[pair - 1] + 1 if pair else 1341, p)
+        assert (last[0], last[-1]) == (self._PROBES[pair - 1] + 1 if pair else 318, p)
 
     def test_mode_one_past_the_last_probe(self):
         # no pair turns down, and the last window starts at the mode
@@ -342,12 +359,13 @@ class TestWindowSearch:
         assert (last[0], last[-1]) == (peak, self._HI)
 
     def test_lockstep_rounds_are_cut_at_the_caps_of_the_rows_left(self, kernel_calls):
-        # the first frame peaks in its first window; the second's third window
-        # is cut to the 806 candidates left below its cap 10 L M = 1320
+        # the first frame peaks in its first window; the second rises out of
+        # its second window into 515, one probe round narrows [515, 1320]
+        # (its cap 10 L M) to 25 candidates, and one window ends the search
         mpr = MprOrder(2)
         frames = [EXAMPLE, FrameObservation(L=66, E=0, S=1, C=65, identified=2)]
         n_hats = []
-        for obs, loads in zip(frames, ([64], [64, 256, 806])):
+        for obs, loads in zip(frames, ([64], [64, 256, 64, 25])):
             del kernel_calls[:]
             n_hats.append(map_estimate(obs, mpr).n_hat)
             assert kernel_calls == loads
@@ -355,7 +373,7 @@ class TestWindowSearch:
         estimator._memo.clear()
         del kernel_calls[:]
         assert population_estimates(frames, mpr) == n_hats
-        assert kernel_calls == [2 * 64, 256, 806]
+        assert kernel_calls == [2 * 64, 256, 64, 25]
 
     @pytest.mark.parametrize(
         "L, E, S, C, M, n_hat",
@@ -366,7 +384,7 @@ class TestWindowSearch:
         obs, mpr = FrameObservation(L, E, S, C, S), MprOrder(M)
         assert map_estimate(obs, mpr).n_hat == n_hat
         loads = list(kernel_calls)
-        assert loads[:4] == [64, 256, 1024, 1024] and max(loads) <= 1024
+        assert loads[:3] == [64, 256, 64] and max(loads) <= 256
         estimator._memo.clear()
         del kernel_calls[:]
         assert population_estimates([obs], mpr) == [n_hat]
@@ -376,7 +394,22 @@ class TestWindowSearch:
         # the window regrowth evaluated [64, 256, 1024, 4096, 16384], each
         # candidate at O(M) cost
         assert map_estimate(FrameObservation(10, 1, 3, 6, 3), MprOrder(3000)).n_hat == 25773
-        assert kernel_calls == [64, 256, 1024, 1024, 547]
+        assert kernel_calls == [64, 256, 64, 64, 64, 8]
+
+    @pytest.mark.parametrize("L", [10**18, 2**63 - 1])
+    def test_a_search_cap_past_int64_is_refused(self, kernel_calls, L):
+        # 10 L M > 2**63 - 1, the largest candidate an int64 array holds
+        obs, mpr = FrameObservation(L, 1, 3, L - 4, 3), MprOrder(2)
+        with pytest.raises(ValueError, match="exceeds 2"):
+            map_estimate(obs, mpr)
+        with pytest.raises(ValueError, match="exceeds 2"):
+            population_estimates([EXAMPLE, obs], mpr)
+        assert kernel_calls == [] and not estimator._memo
+
+    def test_frames_that_need_no_search_answer_past_int64(self):
+        L, mpr = 10**18, MprOrder(2)
+        assert map_estimate(FrameObservation(L, 0, 0, L, 0), mpr).n_hat == 20 * L
+        assert population_estimates([FrameObservation(L, L - 3, 3, 0, 5)], mpr) == [5]
 
 
 class TestMemo:
