@@ -4,7 +4,6 @@ from .estimator import (
     FrameObservation,
     MapEstimate,
     map_estimate,
-    population_estimate,
     population_estimates,
     posterior_curve,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "map_estimate",
     "next_frame_length",
     "optimal_frame_length",
-    "population_estimate",
     "population_estimates",
     "posterior_curve",
     "render_csv",

@@ -20,7 +20,7 @@ import yaml
 from .estimator import (
     FrameObservation,
     map_estimate,
-    population_estimate,
+    population_estimates,
     posterior_curve,
     search_lower_bound,
 )
@@ -177,7 +177,7 @@ def _cmd_estimate(args) -> None:
     identified = args.identified if args.identified is not None else args.S
     obs = FrameObservation(L=args.L, E=args.E, S=args.S, C=args.C, identified=identified)
     mpr = MprOrder(args.M)
-    n_hat = population_estimate(obs, mpr)
+    [n_hat] = population_estimates([obs], mpr)
     # a frame without collisions is counted exactly; a collided one's search is remembered by now
     estimate = map_estimate(obs, mpr) if obs.C > 0 else None
     if args.curve_out:

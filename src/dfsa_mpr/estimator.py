@@ -19,8 +19,8 @@ k_max = 10 * L * M. An all-collided frame (C = L) has a likelihood
 P(X>M)^L that rises strictly in k, so no finite mode exists; its estimate is
 k_max itself, and ``MapEstimate.saturated`` says so.
 
-Any other frame is searched in rounds, which is exact because the log
-posterior is concave in k. This is proved, term by term in x = k/L (the map
+Any other frame is searched in rounds, which relies on the log posterior
+being concave in k. This is proved, term by term in x = k/L (the map
 k -> x is linear):
 
 - E log P(X=0) = -E x is linear.
@@ -36,16 +36,20 @@ k -> x is linear):
   positive, so the kept terms sum to minus a positive number. Either way
   g g'' <= g'^2, so log g is concave.
 
-A test also checks the computed posterior's second differences in k, over
-L in [1, 2048] and M in [1, 8], since the search sees rounded values.
+The search sees rounded values, so it is exact only where the rounded
+posterior is still concave near its mode. That is checked up to L = 4,096
+and M = 8 by property tests (second differences up to L = 2,048), and the
+answers matched a high-precision mode on a sample up to L = 10^6. From about
+L = 10^7 the rounding error of f(k), O(eps L), outgrows the differences
+between neighbouring candidates, and known answers miss the mode.
 
-The search runs in rounds, and no round evaluates more than 256 candidates
-for one frame. The first evaluates a window of 64 candidates from k_min,
-cut at k_max, and takes its first argmax, so ties go to the smaller k. An
-argmax with a candidate after it in the window is final: a concave sequence
-that has stopped rising never rises again. An argmax on the window's last
-candidate below k_max restarts the window there, 4 times wider, at 256
-candidates.
+The search runs windows, then probe rounds, then one last window, and no
+round evaluates more than 256 candidates for one frame. The first window
+holds 64 candidates from k_min, cut at k_max, and gives its first argmax,
+so ties go to the smaller k. An argmax with a candidate after it in the
+window is final: a concave sequence that has stopped rising never rises
+again. An argmax on the window's last candidate below k_max starts the
+second window there, of 256 candidates.
 
 Past the 256-candidate window the posterior rises into its last candidate
 a, so the mode lies in the bracket [a, b], with b = k_max at first. While
@@ -89,12 +93,10 @@ import numpy as np
 
 from .prob_model import MprOrder, log_slot_probabilities, require_count
 
-#: candidates in the first window of the mode search, the factor by which
-#: each later window is wider, the most candidates any round evaluates, and
-#: the probe pairs of a round that brackets a far mode
-_FIRST_WINDOW = 64
-_WINDOW_GROWTH = 4
-_ROUND_CAP = 256
+#: candidates in the two windows of the mode search, the second of them
+#: also the most candidates any round evaluates, and the probe pairs of a
+#: round that brackets a far mode
+_WINDOWS = (64, 256)
 _PROBE_PAIRS = 32
 
 #: the largest search cap whose candidates int64 holds
@@ -102,7 +104,7 @@ _INT64_MAX = 2**63 - 1
 
 #: the lockstep search splits a round into kernel calls of at most this
 #: many candidates, but never splits one frame's row; a row holds at most
-#: ``_ROUND_CAP`` candidates, so a call holds at least 256 rows
+#: ``_WINDOWS[-1]`` candidates, so a call holds at least 256 rows
 _BATCH_ENTRIES = 2**16
 
 #: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
@@ -201,29 +203,27 @@ def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
     """
     if hi > _INT64_MAX:
         raise ValueError(f"the search cap 10*L*M = {hi} exceeds 2**63 - 1")
-    width = _FIRST_WINDOW
-    while True:
-        if width > _ROUND_CAP and hi - lo + 1 >= _ROUND_CAP:
-            # the values rise into lo and the mode lies in [lo, hi]: probe
-            # pairs at the 32 points that cut [lo, hi] into 33 equal parts
-            # (j (hi - lo) // 33, without overflow), and narrow to the first
-            # pair that stops rising
-            j = np.arange(1, _PROBE_PAIRS + 1)
-            step, rest = divmod(hi - lo, _PROBE_PAIRS + 1)
-            probes = lo + j * step + j * rest // (_PROBE_PAIRS + 1)
-            values = yield np.stack((probes, probes + 1), axis=1).ravel()
-            down = values[1::2] <= values[::2]
-            i = int(down.argmax())
-            if not down[i]:
-                lo = int(probes[-1]) + 1
-            else:
-                lo, hi = (lo if i == 0 else int(probes[i - 1]) + 1), int(probes[i])
-            continue
+    for width in _WINDOWS:
         size = min(width, hi - lo + 1)
         i = int((yield np.arange(lo, lo + size)).argmax())
         if i < size - 1 or lo + i == hi:
             return lo + i
-        lo, width = lo + i, width * _WINDOW_GROWTH
+        lo += i
+    # the values rise into lo and the mode lies in [lo, hi]: probe pairs at
+    # the 32 points that cut [lo, hi] into 33 equal parts (j (hi - lo) // 33,
+    # without overflow), and narrow to the first pair that stops rising
+    j = np.arange(1, _PROBE_PAIRS + 1)
+    while hi - lo + 1 >= _WINDOWS[-1]:
+        step, rest = divmod(hi - lo, _PROBE_PAIRS + 1)
+        probes = lo + j * step + j * rest // (_PROBE_PAIRS + 1)
+        values = yield np.stack((probes, probes + 1), axis=1).ravel()
+        down = values[1::2] <= values[::2]
+        i = int(down.argmax())
+        if not down[i]:
+            lo = int(probes[-1]) + 1
+        else:
+            lo, hi = (lo if i == 0 else int(probes[i - 1]) + 1), int(probes[i])
+    return lo + int((yield np.arange(lo, hi + 1)).argmax())
 
 
 def _mode_without_search(key: _MemoKey) -> Optional[int]:
@@ -245,22 +245,8 @@ def _remember(key: _MemoKey, mode: int) -> None:
         _memo.popitem(last=False)
 
 
-def _search(key: _MemoKey) -> int:
-    """First argmax over [k_min, 10*L*M] of the key's posterior, remembered."""
-    L, E, S, C, M, k_min = key
-    search = _window_search(k_min, 10 * L * M)
-    ks = next(search)
-    try:
-        while True:
-            ks = search.send(_log_posterior_array(ks, L, E, S, C, M))
-    except StopIteration as done:
-        mode = done.value
-    _remember(key, mode)
-    return mode
-
-
 def _search_rows(keys: list[_MemoKey]) -> list[int]:
-    """``_search`` of many keys of one M, stepped in lockstep: each round
+    """The searches of many keys of one M, stepped in lockstep: each round
     evaluates the candidates of every key still unresolved together.
 
     A round pads each key's candidates to the round's widest with its last
@@ -312,12 +298,19 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     Any other frame whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
     """
     _require_valid_tallies(obs, mpr)
-    k_min = search_lower_bound(obs, mpr)
+    k_min, k_max = search_lower_bound(obs, mpr), 10 * obs.L * mpr.M
     key = (obs.L, obs.E, obs.S, obs.C, mpr.M, k_min)
     n_hat = _mode_without_search(key)
     if n_hat is None:
-        n_hat = _search(key)
-    return MapEstimate(n_hat, k_min, 10 * obs.L * mpr.M)
+        search = _window_search(k_min, k_max)
+        ks = next(search)
+        try:
+            while True:
+                ks = search.send(_log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M))
+        except StopIteration as done:
+            n_hat = done.value
+        _remember(key, n_hat)
+    return MapEstimate(n_hat, k_min, k_max)
 
 
 def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> list[int]:
@@ -342,11 +335,6 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
     if misses:
         modes.update(zip(misses, _search_rows(misses)))
     return [obs.identified if key is None else modes[key] for obs, key in zip(frames, keys)]
-
-
-def population_estimate(obs: FrameObservation, mpr: MprOrder) -> int:
-    """``population_estimates`` of one frame."""
-    return population_estimates([obs], mpr)[0]
 
 
 def posterior_curve(

@@ -45,8 +45,9 @@ class MprOrder:
 #: then under 2^-53 of the sum)
 _TAIL_TOLERANCE = 2.0 ** -60
 
-#: (M + 1) x candidates per block. The successful term holds M rows per
-#: candidate and the tail series O((M + 1)^(1/2)), so memory stays small for any M
+#: (M + 1) x candidates per block, and at least 2, since a lone candidate is
+#: evaluated as a pair. The successful term holds M rows per candidate and the
+#: tail series O((M + 1)^(1/2)), so memory stays small for any M
 _BLOCK_ENTRIES = 2 ** 13
 
 #: shift for an all -inf column (x = 0), so that it sums to -inf, not nan
@@ -147,7 +148,7 @@ def log_slot_probabilities(
     flat = x.ravel()
     constants = _kernel_constants(M)
     out = np.empty((3, flat.size))
-    block = max(1, _BLOCK_ENTRIES // (M + 1))
+    block = max(2, _BLOCK_ENTRIES // (M + 1))
     with np.errstate(divide="ignore"):
         for start in range(0, flat.size, block):
             stop = start + block

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,35 @@ def test_record_holds_every_tracked_number(tmp_path, monkeypatch):
     assert set(record) == {"label", "git", "dirty", "python", "numpy", "platform", "nproc",
                            "perfbench", "tier1", "paper_sweep"}
     assert record["paper_sweep"] == [{"parallel": 1}, {"parallel": record["nproc"]}]
+
+
+def _fake_sweeps(monkeypatch, outputs):
+    """Makes every run take the next of 3, 1 and 2 seconds, and every sweep
+    write the next of ``outputs``."""
+    walls, outputs = iter([3.0, 1.0, 2.0] * 2), iter(outputs)
+
+    def run(argv):
+        if "--out" in argv:
+            Path(argv[argv.index("--out") + 1]).write_text(next(outputs))
+        return next(walls), subprocess.CompletedProcess(argv, 0, "548 passed\n", "")
+
+    monkeypatch.setattr(bench_record, "_run", run)
+
+
+def test_wall_times_are_the_median_of_repeated_runs(monkeypatch):
+    assert bench_record.REPEATS == 3
+    _fake_sweeps(monkeypatch, ["a,b\n"] * 3)
+    assert bench_record.paper_sweep(2) == {
+        "parallel": 2, "wall_s": 2.0, "wall_s_runs": [3.0, 1.0, 2.0],
+        "sha256": hashlib.sha256(b"a,b\n").hexdigest()}
+    assert bench_record.tier1() == {"wall_s": 2.0, "wall_s_runs": [3.0, 1.0, 2.0],
+                                    "exit_codes": [0, 0, 0], "summary": "548 passed"}
+
+
+def test_sweep_whose_bytes_differ_between_runs_is_refused(monkeypatch):
+    _fake_sweeps(monkeypatch, ["a,b\n", "a,b\n", "a,c\n"])
+    with pytest.raises(SystemExit, match="different bytes"):
+        bench_record.paper_sweep(1)
 
 
 @pytest.mark.parametrize("label", ["", "a/b", "../x", "a b"])

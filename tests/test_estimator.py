@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from dfsa_mpr.estimator import (
     _log_posterior_array,
     _window_search,
     map_estimate,
-    population_estimate,
     population_estimates,
     posterior_curve,
     search_lower_bound,
@@ -286,6 +286,10 @@ def _step_window_search(evaluate, lo, hi):
         return done.value, sizes
 
 
+#: (L, E, S, C, M, mode) of frames whose modes lie past the second window
+_FAR_MODES = [(300, 0, 1, 299, 2, 2933), (400, 1, 1, 398, 1, 2946), (4096, 0, 1, 4095, 8, 95393)]
+
+
 class TestWindowSearch:
     def test_tie_across_the_first_window_edge_returns_the_smaller_k(self):
         # candidates lo+63 (last of the first window) and lo+64 tie at the top
@@ -366,10 +370,7 @@ class TestWindowSearch:
         assert population_estimates(frames, mpr) == n_hats
         assert kernel_calls == [2 * 64, 256, 64, 25]
 
-    @pytest.mark.parametrize(
-        "L, E, S, C, M, n_hat",
-        [(300, 0, 1, 299, 2, 2933), (400, 1, 1, 398, 1, 2946), (4096, 0, 1, 4095, 8, 95393)],
-    )
+    @pytest.mark.parametrize("L, E, S, C, M, n_hat", _FAR_MODES)
     def test_far_modes_are_found_by_probe_rounds(self, kernel_calls, L, E, S, C, M, n_hat):
         # the window regrowth would evaluate up to 65,536 candidates at once
         obs, mpr = FrameObservation(L, E, S, C, S), MprOrder(M)
@@ -509,19 +510,19 @@ class TestPopulationEstimate:
     def test_collision_free_frame_is_counted_exactly(self):
         clean = FrameObservation(L=10, E=0, S=10, C=0, identified=10)
         assert map_estimate(clean, MprOrder(2)).n_hat == 14
-        assert population_estimate(clean, MprOrder(2)) == 10
+        assert population_estimates([clean], MprOrder(2)) == [10]
 
     @pytest.mark.parametrize("M", [1, 2, 4])
     def test_collided_frame_takes_the_map_estimate(self, M):
-        assert population_estimate(EXAMPLE, MprOrder(M)) == map_estimate(EXAMPLE, MprOrder(M)).n_hat
+        mpr = MprOrder(M)
+        assert population_estimates([EXAMPLE], mpr) == [map_estimate(EXAMPLE, mpr).n_hat]
 
     def test_collision_free_frame_is_checked(self):
+        overfull = FrameObservation(L=10, E=6, S=4, C=0, identified=9)
         with pytest.raises(ValueError):
-            population_estimate(FrameObservation(L=10, E=6, S=4, C=0, identified=9), MprOrder(2))
+            population_estimates([overfull], MprOrder(2))
         with pytest.raises(ValueError):
-            population_estimates(
-                [EXAMPLE, FrameObservation(L=10, E=6, S=4, C=0, identified=9)], MprOrder(2)
-            )
+            population_estimates([EXAMPLE, overfull], MprOrder(2))
 
     def test_batch_makes_one_kernel_call_per_window_round(self, kernel_calls):
         # the first frames of 50 trials of the FSA cell n=1000, M=1, L0=128
@@ -556,11 +557,11 @@ _BRUTE_FORCE_CAP = 4096
 
 
 @st.composite
-def frame_batches(draw):
-    """An M in [1, 8] and a batch of frames with L in [1, 2048], among them
+def frame_batches(draw, mpr_orders=st.integers(1, 8)):
+    """An M from ``mpr_orders`` and a batch of frames with L in [1, 2048], among them
     frames with C = 0 and C = L, frames that differ only in identified, and
     repeated frames."""
-    M = draw(st.integers(1, 8))
+    M = draw(mpr_orders)
     # half of the lengths are short enough for brute force
     lengths = st.one_of(st.integers(1, _BRUTE_FORCE_CAP // (10 * M)), st.integers(1, 2048))
 
@@ -580,7 +581,25 @@ def frame_batches(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(frame_batches())
 def test_population_estimates_equal_map_estimate_and_brute_force(batch):
+    _check_population_estimates(*batch)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(frame_batches(st.sampled_from([M for *_, M, _ in _FAR_MODES])))
+def test_population_estimates_split_into_one_row_kernel_calls(batch):
+    # each lockstep round is split into one kernel call per row, among them
+    # a far-mode frame's probe rounds beside the final windows of others
     M, frames = batch
+    [(L, E, S, C, _, n_hat)] = [far for far in _FAR_MODES if far[4] == M]
+    frames = frames + [FrameObservation(L, E, S, C, S)]
+    with mock.patch.object(estimator, "_BATCH_ENTRIES", 1):
+        assert _check_population_estimates(M, frames)[-1] == n_hat
+
+
+def _check_population_estimates(M, frames):
+    """``population_estimates`` of the frames, with a cold, a partly filled
+    and a warm memo, equals ``map_estimate`` frame by frame, and brute force
+    where the search cap allows it; returns the estimates."""
     mpr = MprOrder(M)
     expected = []
     for obs in frames:
@@ -599,6 +618,7 @@ def test_population_estimates_equal_map_estimate_and_brute_force(batch):
         if obs.C > 0 and k_max <= _BRUTE_FORCE_CAP:
             k_min = search_lower_bound(obs, mpr)
             assert n_hat == brute_force_map(obs.L, obs.E, obs.S, obs.C, M, k_max=k_max, k_min=k_min)
+    return expected
 
 
 @st.composite

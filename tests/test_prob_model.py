@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import binomial_occupancy
+from dfsa_mpr import prob_model
 from dfsa_mpr.prob_model import MprOrder, channel_efficiency, log_slot_probabilities
 
 
@@ -163,6 +164,25 @@ def test_kernel_value_depends_on_its_own_load_only(M):
     for start, stop in [(1, 64), (5, 300), (999, 2000)]:
         part = np.array(log_slot_probabilities(x[start:stop], M))
         assert np.array_equal(part, whole[:, start:stop])
+
+
+def test_blocks_hold_two_loads_at_a_large_mpr_order(monkeypatch):
+    # at M = 10,000 a block of 8192 // (M + 1) = 0 loads is raised to 2; at
+    # one load a block, each load was evaluated as a pair, 128 columns for 64
+    M = 10_000
+    x = np.linspace(1.0, 3.0 * M, 64)
+    alone = np.array([log_slot_probabilities(load, M) for load in x]).T
+    widths = []
+    block = prob_model._log_slot_block
+
+    def spy(x, k, out):
+        widths.append(x.size)
+        block(x, k, out)
+
+    monkeypatch.setattr(prob_model, "_log_slot_block", spy)
+    whole = np.array(log_slot_probabilities(x, M))
+    assert widths == [2] * 32
+    assert np.array_equal(whole, alone)
 
 
 @pytest.mark.parametrize("M", [170, 171, 200, 400])

@@ -9,11 +9,15 @@ and writes the file at the root of that checkout:
 
 - ``perfbench/run.py --workload all --trace 0`` at seed 1, for the run
   length that BENCHMARK.json sets; its JSON result line is kept whole;
-- the wall time of the tier-1 suite, with its summary line;
+- the wall time of the tier-1 suite, with its exit codes and last summary line;
 - the wall time of ``dfsa-mpr simulate`` on configs/paper_sweep.yaml
   (80 cells x 500 trials) at ``--parallel 1`` and at ``--parallel`` nproc,
   with the SHA-256 of each output;
 - the git revision, the Python and numpy versions, the platform and nproc.
+
+Tier-1 and each sweep run ``REPEATS`` times, since one run moves with the
+host's phase: a wall time is the median of its runs, and every run's time
+is kept beside it. A sweep whose bytes differ between runs stops the record.
 
 To record another revision with the same script, copy it into a checkout
 of that revision and run it there. Compare two files only when they were
@@ -28,6 +32,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,6 +44,7 @@ import numpy
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 SWEEP_CONFIG = "configs/paper_sweep.yaml"
+REPEATS = 3
 
 
 def _run(argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
@@ -55,6 +61,10 @@ def _require_success(proc: subprocess.CompletedProcess, what: str) -> None:
         sys.exit(f"bench_record: {what} failed with exit {proc.returncode}:\n{proc.stderr[-2000:]}")
 
 
+def _walls(walls: list[float]) -> dict:
+    return {"wall_s": statistics.median(walls), "wall_s_runs": walls}
+
+
 def perfbench() -> dict:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     _, proc = _run([sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
@@ -64,20 +74,28 @@ def perfbench() -> dict:
 
 
 def tier1() -> dict:
-    wall, proc = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                       "--continue-on-collection-errors"])
-    lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
+    runs = [_run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                  "--continue-on-collection-errors"]) for _ in range(REPEATS)]
+    lines = runs[-1][1].stdout.strip().splitlines()
+    return {**_walls([wall for wall, _ in runs]),
+            "exit_codes": [proc.returncode for _, proc in runs],
+            "summary": lines[-1] if lines else ""}
 
 
 def paper_sweep(parallel: int) -> dict:
+    walls, digests = [], set()
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "sweep.csv"
-        wall, proc = _run([sys.executable, "-m", "dfsa_mpr", "simulate", "--config", SWEEP_CONFIG,
-                           "--parallel", str(parallel), "--out", str(out)])
-        _require_success(proc, f"the paper sweep at --parallel {parallel}")
-        return {"parallel": parallel, "wall_s": wall,
-                "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+        for run in range(REPEATS):
+            out = Path(tmp) / f"sweep{run}.csv"
+            wall, proc = _run([sys.executable, "-m", "dfsa_mpr", "simulate", "--config",
+                               SWEEP_CONFIG, "--parallel", str(parallel), "--out", str(out)])
+            _require_success(proc, f"the paper sweep at --parallel {parallel}")
+            walls.append(wall)
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    if len(digests) > 1:
+        sys.exit(f"bench_record: the paper sweep at --parallel {parallel} wrote different bytes"
+                 f" in {REPEATS} runs")
+    return {"parallel": parallel, **_walls(walls), "sha256": digests.pop()}
 
 
 def revision() -> dict:
