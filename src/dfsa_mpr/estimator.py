@@ -71,9 +71,10 @@ This rule lives in one generator, ``_window_search``, which yields each
 round's candidates and is sent their values, and two drivers step it.
 ``map_estimate`` evaluates one frame's rounds one kernel call each.
 ``population_estimates`` steps the searches of many frames of one M in
-lockstep: each round evaluates the candidates of every frame still
-unresolved together, over a 2-D array of candidates. Each kernel value
-depends on its own load only, so both give the same answers bit for bit.
+lockstep, in chunks of at most 1,024 frames: each round of a chunk
+evaluates the candidates of every frame still unresolved in one kernel
+call, over a 2-D array. Each kernel value depends on its own load only, so
+both give the same answers bit for bit.
 
 Answers are remembered per process in one bounded memo that ``map_estimate``
 and ``population_estimates`` share: at most 4,096 keys (L, E, S, C, M, k_min),
@@ -102,10 +103,9 @@ _PROBE_PAIRS = 32
 #: the largest search cap whose candidates int64 holds
 _INT64_MAX = 2**63 - 1
 
-#: the lockstep search splits a round into kernel calls of at most this
-#: many candidates, but never splits one frame's row; a row holds at most
-#: ``_WINDOWS[-1]`` candidates, so a call holds at least 256 rows
-_BATCH_ENTRIES = 2**16
+#: keys that one lockstep search steps together, so that no round holds
+#: more than this many rows of at most ``_WINDOWS[-1]`` candidates
+_BATCH_ROWS = 1024
 
 #: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
 _MemoKey = tuple[int, int, int, int, int, int]
@@ -246,15 +246,14 @@ def _remember(key: _MemoKey, mode: int) -> None:
 
 
 def _search_rows(keys: list[_MemoKey]) -> list[int]:
-    """The searches of many keys of one M, stepped in lockstep: each round
-    evaluates the candidates of every key still unresolved together.
+    """The searches of at most ``_BATCH_ROWS`` keys of one M in lockstep: each
+    round evaluates every unresolved key's candidates in one kernel call.
 
     A round pads each key's candidates to the round's widest with its last
-    candidate, and makes one kernel call per group of keys whose rows fill
-    ``_BATCH_ENTRIES`` candidates; each search is sent its own values only.
-    Every key has a collided slot, so its candidates are at least M+1, where
-    every log-probability is finite. A class with no slots then adds a zero,
-    and each row's values are exactly ``_log_posterior_array``'s.
+    candidate, and each search is sent its own values only. Every key has a
+    collided slot, so its candidates are at least M+1, where every
+    log-probability is finite. A class with no slots then adds a zero, and
+    each row's values are exactly ``_log_posterior_array``'s.
     """
     M = keys[0][4]
     modes = [0] * len(keys)
@@ -266,17 +265,12 @@ def _search_rows(keys: list[_MemoKey]) -> list[int]:
         live.append((row, search, next(search)))
     L, E, S, C = np.array([key[:4] for key in keys]).T
     while live:
-        rows = np.array([row for row, _, _ in live])
         width = max(ks.size for _, _, ks in live)
         block = np.stack([ks if ks.size == width else np.pad(ks, (0, width - ks.size), "edge")
                           for _, _, ks in live])
-        values = np.empty(block.shape)
-        step = max(1, _BATCH_ENTRIES // width)
-        for start in range(0, rows.size, step):
-            part = slice(start, start + step)
-            r = rows[part, None]
-            log_e, log_s, log_c = log_slot_probabilities(block[part] / L[r], M)
-            values[part] = E[r] * log_e + S[r] * log_s + C[r] * log_c
+        r = np.array([[row] for row, _, _ in live])
+        log_e, log_s, log_c = log_slot_probabilities(block / L[r], M)
+        values = E[r] * log_e + S[r] * log_s + C[r] * log_c
         unresolved = []
         for (row, search, ks), row_values in zip(live, values):
             try:
@@ -332,8 +326,9 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
             keys.append((obs.L, obs.E, obs.S, obs.C, mpr.M, search_lower_bound(obs, mpr)))
     modes = {key: _mode_without_search(key) for key in dict.fromkeys(keys) if key is not None}
     misses = [key for key, mode in modes.items() if mode is None]
-    if misses:
-        modes.update(zip(misses, _search_rows(misses)))
+    for start in range(0, len(misses), _BATCH_ROWS):
+        chunk = misses[start:start + _BATCH_ROWS]
+        modes.update(zip(chunk, _search_rows(chunk)))
     return [obs.identified if key is None else modes[key] for obs, key in zip(frames, keys)]
 
 

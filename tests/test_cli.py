@@ -19,6 +19,8 @@ def test_parse_int_list_forms():
     for empty in ("5:1", ",", ""):
         with pytest.raises(ValueError):
             parse_int_list(empty)
+    with pytest.raises(ValueError, match="range step must be >= 1"):
+        parse_int_list("1:5:0")
 
 
 def test_estimate_prints_map_peak(capsys):
@@ -202,6 +204,7 @@ def _assert_one_error_line(capsys):
     lines = err.splitlines()
     assert len(lines) == 1, err
     assert lines[0].startswith("dfsa-mpr:")
+    return lines[0]
 
 
 def _simulate(n="5", m="1", l0="8"):
@@ -237,6 +240,14 @@ def test_simulate_bad_config_value_is_one_error_line(entry, tmp_path, capsys):
     config.write_text(f"{entry}\nmpr_orders: [1]\ninitial_frame_lengths: [8]\ntrials: 2\n")
     assert main(["simulate", "--config", str(config)]) == 1
     _assert_one_error_line(capsys)
+
+
+def test_simulate_config_that_is_not_a_mapping_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "spec.yaml"
+    config.write_text("- tag_counts: [5]\n- mpr_orders: [1]\n")
+    assert main(["simulate", "--config", str(config)]) == 1
+    line = _assert_one_error_line(capsys)
+    assert line.startswith("dfsa-mpr: bad config:") and line.endswith("must be a mapping")
 
 
 @pytest.mark.parametrize(

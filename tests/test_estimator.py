@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_map, trinomial_log_posterior
@@ -486,6 +486,12 @@ class TestPosteriorCurve:
         k_peak = max(curve, key=lambda kp: kp[1])[0]
         assert k_peak == est.n_hat
 
+    def test_posterior_that_vanishes_on_the_whole_range_is_rejected(self):
+        # at k = 0 no tag replies, so the successful and collided slots are impossible
+        obs = FrameObservation(10, 1, 3, 6, 3)
+        with pytest.raises(ValueError, match="posterior vanishes on the whole range"):
+            posterior_curve(obs, MprOrder(2), range(0, 1))
+
     def test_empty_range_rejected(self):
         for k_range in (range(0), range(21, 21)):
             with pytest.raises(ValueError, match="non-empty range"):
@@ -584,16 +590,19 @@ def test_population_estimates_equal_map_estimate_and_brute_force(batch):
     _check_population_estimates(*batch)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(frame_batches(st.sampled_from([M for *_, M, _ in _FAR_MODES])))
-def test_population_estimates_split_into_one_row_kernel_calls(batch):
-    # each lockstep round is split into one kernel call per row, among them
-    # a far-mode frame's probe rounds beside the final windows of others
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(batch=frame_batches(st.sampled_from([M for *_, M, _ in _FAR_MODES])))
+def test_population_estimates_split_into_one_row_kernel_calls(kernel_calls, batch):
+    # chunks of one key make each lockstep round one kernel call per row,
+    # among them a far-mode frame's probe rounds beside the final windows of others
     M, frames = batch
     [(L, E, S, C, _, n_hat)] = [far for far in _FAR_MODES if far[4] == M]
     frames = frames + [FrameObservation(L, E, S, C, S)]
-    with mock.patch.object(estimator, "_BATCH_ENTRIES", 1):
+    del kernel_calls[:]
+    with mock.patch.object(estimator, "_BATCH_ROWS", 1):
         assert _check_population_estimates(M, frames)[-1] == n_hat
+    assert 0 < max(kernel_calls) <= estimator._WINDOWS[-1]
 
 
 def _check_population_estimates(M, frames):
