@@ -76,17 +76,16 @@ evaluates the candidates of every frame still unresolved in one kernel
 call, over a 2-D array. Each kernel value depends on its own load only, so
 both give the same answers bit for bit.
 
-Answers are remembered per process in one bounded memo that ``map_estimate``
-and ``population_estimates`` share: at most 4,096 keys (L, E, S, C, M, k_min),
-the least recently used evicted first. ``identified`` enters the key only
-through k_min, and k_max follows from L and M. An all-collided frame needs
-no search and is not stored.
+Answers are remembered per process in one memo that ``map_estimate`` and
+``population_estimates`` share: up to 16,384 keys (L, E, S, C, M, k_min),
+and emptied when full. ``identified`` enters the key only through k_min,
+and k_max follows from L and M. An all-collided frame needs no search and is
+not stored.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Generator, Iterable, Optional
 
@@ -100,7 +99,8 @@ from .prob_model import MprOrder, log_slot_probabilities, require_count
 _WINDOWS = (64, 256)
 _PROBE_PAIRS = 32
 
-#: the largest search cap whose candidates int64 holds
+#: the largest int64, which numpy holds candidates and slots in: it bounds
+#: the search cap here and the initial frame length in ``protocol``
 _INT64_MAX = 2**63 - 1
 
 #: keys that one lockstep search steps together, so that no round holds
@@ -110,10 +110,10 @@ _BATCH_ROWS = 1024
 #: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
 _MemoKey = tuple[int, int, int, int, int, int]
 
-#: keys whose posterior mode a process remembers, and the modes, least
-#: recently used first
-_MEMO_SIZE = 4096
-_memo: OrderedDict[_MemoKey, int] = OrderedDict()
+#: the most keys whose posterior mode a process remembers; a full memo is
+#: emptied before it takes the next key
+_MEMO_SIZE = 2**14
+_memo: dict[_MemoKey, int] = {}
 
 
 @dataclass(frozen=True)
@@ -233,16 +233,13 @@ def _mode_without_search(key: _MemoKey) -> Optional[int]:
     # P(X > M)^L rises strictly in k when every slot collided: the argmax is the cap
     if C == L:
         return 10 * L * M
-    mode = _memo.get(key)
-    if mode is not None:
-        _memo.move_to_end(key)
-    return mode
+    return _memo.get(key)
 
 
 def _remember(key: _MemoKey, mode: int) -> None:
+    if len(_memo) >= _MEMO_SIZE:
+        _memo.clear()
     _memo[key] = mode
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
 
 
 def _search_rows(keys: list[_MemoKey]) -> list[int]:

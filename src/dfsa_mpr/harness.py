@@ -107,7 +107,8 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), std
 
 
-def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics]:
+def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics, int]:
+    """The cell's metrics, and how many first-frame estimates are the cap 10*L0*M."""
     key, trials, master_seed = args
     variant_value, n, m, l0 = key
     mpr = MprOrder(m)
@@ -120,18 +121,20 @@ def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics
         result = run_interrogation(config, _trial_rng(master_seed, key, trial))
         delays[trial] = result.total_slots
         first_frames.append(result.frames[0])
-    estimates = np.array(population_estimates(first_frames, mpr), dtype=float)
+    n_hats = population_estimates(first_frames, mpr)
+    estimates = np.array(n_hats, dtype=float)
     read_rates = n / delays
     errors = np.abs(estimates - n) / n * 100.0 if n > 0 else np.full(trials, math.nan)
     return key, AggregateMetrics(
         trials, *_mean_std(read_rates), *_mean_std(delays), *_mean_std(errors)
-    )
+    ), n_hats.count(10 * l0 * m)
 
 
 def run_experiment(
     spec: ExperimentSpec, parallel: int = 1, progress: bool = False
 ) -> dict[CellKey, AggregateMetrics]:
-    """Run every cell of the sweep; rows come back sorted by cell key."""
+    """Run every cell of the sweep; rows come back sorted by cell key. With
+    ``progress``, each finished cell prints a line on stderr, noting any estimates at the cap."""
     require_count("parallel", parallel, 1)
     cells = spec.cells()
     jobs = [(key, spec.trials, spec.master_seed) for key in cells]
@@ -141,10 +144,11 @@ def run_experiment(
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # both maps yield in job order, so the rows stay sorted
         cell_map = pool.map if pool else map
-        for i, (key, metrics) in enumerate(cell_map(_run_cell, jobs), 1):
+        for i, (key, metrics, at_cap) in enumerate(cell_map(_run_cell, jobs), 1):
             results[key] = metrics
             if progress:
-                print(f"[{i}/{len(cells)}] {key} done", file=sys.stderr)
+                note = f"; {at_cap} of {spec.trials} first-frame estimates at the cap 10*L0*M"
+                print(f"[{i}/{len(cells)}] {key} done{note if at_cap else ''}", file=sys.stderr)
     return results
 
 

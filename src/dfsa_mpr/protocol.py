@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimator import FrameObservation, map_estimate
+from .estimator import _INT64_MAX, FrameObservation, map_estimate
 from .frame_optimizer import next_frame_length
 from .prob_model import MprOrder, require_count
 
@@ -36,9 +36,6 @@ FRAME_SAFETY_CAP = 100_000
 
 #: the most slot choices an FSA run draws ahead of its frames in one call
 _DRAW_AHEAD = 2 ** 14
-
-#: the longest initial frame whose slots numpy can index (int64)
-_MAX_FRAME_LENGTH = 2**63 - 1
 
 
 class NonTerminationError(RuntimeError):
@@ -62,7 +59,7 @@ class ProtocolConfig:
         if not isinstance(self.mpr, MprOrder):
             raise ValueError(f"mpr must be an MprOrder, got {self.mpr!r}")
         require_count("initial frame length", self.initial_frame_length, 1)
-        if self.initial_frame_length > _MAX_FRAME_LENGTH:
+        if self.initial_frame_length > _INT64_MAX:
             raise ValueError(
                 f"initial frame length must be < 2**63, got {self.initial_frame_length}"
             )

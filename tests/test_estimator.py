@@ -407,18 +407,20 @@ class TestWindowSearch:
 class TestMemo:
     OBS = FrameObservation(L=64, E=19, S=28, C=17, identified=40)
 
-    def test_bounded(self, monkeypatch):
+    def test_bounded(self, monkeypatch, kernel_calls):
         assert 0 < estimator._MEMO_SIZE < 10**6
-        # with room for 3, the least recently used key (identified = 29) goes first
+        # with room for 3, three keys fill the memo and the fourth empties it
         monkeypatch.setattr(estimator, "_MEMO_SIZE", 3)
-        estimator._memo.clear()
         frames = [FrameObservation(64, 19, 28, 17, identified) for identified in (28, 29, 30, 31)]
         for obs in frames[:3]:
             map_estimate(obs, MprOrder(3))
+        assert [key[-1] - 68 for key in estimator._memo] == [28, 29, 30]
+        searched = len(kernel_calls)
         map_estimate(frames[0], MprOrder(3))
+        assert len(kernel_calls) == searched
         population_estimates(frames[3:], MprOrder(3))
-        assert len(estimator._memo) == 3
-        assert [key[-1] - 68 for key in estimator._memo] == [30, 28, 31]
+        assert len(kernel_calls) > searched
+        assert [key[-1] - 68 for key in estimator._memo] == [31]
 
     def test_repeated_key_is_a_hit(self, kernel_calls):
         first = map_estimate(self.OBS, MprOrder(3))

@@ -154,6 +154,19 @@ class TestRunExperiment:
         metrics = next(iter(table.values()))
         assert metrics.est_err_pct_mean < 1.0
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_progress_notes_first_frame_estimates_at_the_cap(self, capsys, parallel):
+        # 50 tags collide in both of 2 slots, so each first-frame estimate is
+        # the cap 20; 1 tag decodes and is counted exactly
+        spec = small_spec(tag_counts=[1, 50], mpr_orders=[1], initial_frame_lengths=[2], trials=5)
+        quiet = render_csv(run_experiment(spec, parallel=parallel))
+        assert capsys.readouterr().err == ""
+        assert render_csv(run_experiment(spec, parallel=parallel, progress=True)) == quiet
+        assert capsys.readouterr().err.splitlines() == [
+            "[1/2] ('dfsa', 1, 1, 2) done",
+            "[2/2] ('dfsa', 50, 1, 2) done; 5 of 5 first-frame estimates at the cap 10*L0*M",
+        ]
+
 
 class TestEmitResults:
     """The table as text (``render_csv``/``render_json``) and as the CLI writes it."""
