@@ -17,13 +17,7 @@ from typing import Optional
 
 import yaml
 
-from .estimator import (
-    FrameObservation,
-    map_estimate,
-    population_estimates,
-    posterior_curve,
-    search_lower_bound,
-)
+from .estimator import FrameObservation, population_estimates, posterior_curve
 from .harness import (
     ExperimentSpec,
     csv_text,
@@ -177,22 +171,20 @@ def _cmd_estimate(args) -> None:
     identified = args.identified if args.identified is not None else args.S
     obs = FrameObservation(L=args.L, E=args.E, S=args.S, C=args.C, identified=identified)
     mpr = MprOrder(args.M)
-    [n_hat] = population_estimates([obs], mpr)
-    # a frame without collisions is counted exactly; a collided one's search is remembered by now
-    estimate = map_estimate(obs, mpr) if obs.C > 0 else None
+    [estimate] = population_estimates([obs], mpr)
     if args.curve_out:
-        k_min = search_lower_bound(obs, mpr)
+        k_min = estimate.k_min
         k_max = args.curve_k_max
         if k_max is None:
-            k_max = max(2 * n_hat + 10, k_min + 100)
+            k_max = max(2 * estimate.n_hat + 10, k_min + 100)
         if k_max < k_min:
             raise ValueError(f"curve k max {k_max} below lower bound {k_min}")
         # a bad path fails before the curve is built; the curve is written before any output
         _write("", args.curve_out)
         curve = posterior_curve(obs, mpr, range(k_min, k_max + 1))
         _write(csv_text(["k", "probability"], curve), args.curve_out)
-    print(n_hat)
-    if estimate is not None and estimate.saturated:
+    print(estimate.n_hat)
+    if estimate.saturated:
         print(
             f"dfsa-mpr: note: the estimate is the search cap k_max = 10*L*M = {estimate.k_max};"
             " the frame is consistent with any larger population",

@@ -74,7 +74,9 @@ round's candidates and is sent their values, and two drivers step it.
 lockstep, in chunks of at most 1,024 frames: each round of a chunk
 evaluates the candidates of every frame still unresolved in one kernel
 call, over a 2-D array. Each kernel value depends on its own load only, so
-both give the same answers bit for bit.
+both give the same answers bit for bit. Both return ``MapEstimate``
+records, with k_min, k_max and ``saturated``, so no caller computes the
+bounds, and ``population_estimates`` counts a collision-free frame exactly.
 
 Answers are remembered per process in one memo that ``map_estimate`` and
 ``population_estimates`` share: up to 16,384 keys (L, E, S, C, M, k_min),
@@ -139,6 +141,11 @@ class FrameObservation:
         require_count("successful slots", self.S, 0)
         require_count("collided slots", self.C, 0)
         require_count("identified tags", self.identified, 0)
+        # numpy counts become Python ints, so no sum or cap of them wraps at 2**63
+        if not (type(self.L) is type(self.E) is type(self.S) is type(self.C)
+                is type(self.identified) is int):
+            for name in ("L", "E", "S", "C", "identified"):
+                object.__setattr__(self, name, int(getattr(self, name)))
         if self.E + self.S + self.C != self.L:
             raise ValueError(
                 f"tallies E+S+C = {self.E + self.S + self.C} != frame length {self.L}"
@@ -175,15 +182,20 @@ def _log_posterior_array(ks: np.ndarray, L: int, E: int, S: int, C: int, M: int)
     return out
 
 
-def _require_valid_tallies(obs: FrameObservation, mpr: MprOrder) -> None:
-    """Raise ValueError unless the decoded tags fit in the S slots at MPR order M.
-
-    ``FrameObservation`` checks every rule that does not need M.
-    """
+def _frame_key(obs: FrameObservation, mpr: MprOrder) -> _MemoKey:
+    """The frame's key; raises ValueError unless the decoded tags fit in the
+    S slots at MPR order M (``FrameObservation`` checks every other rule)."""
     if obs.identified > obs.S * mpr.M:
         raise ValueError(
             f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {mpr.M}"
         )
+    return (obs.L, obs.E, obs.S, obs.C, mpr.M, search_lower_bound(obs, mpr))
+
+
+def _estimate(key: _MemoKey, n_hat: int) -> MapEstimate:
+    """The estimate n_hat of the frame with this key, with its search bounds."""
+    L, _, _, _, M, k_min = key
+    return MapEstimate(n_hat, k_min, 10 * L * M)
 
 
 def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
@@ -288,12 +300,10 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     ``population_estimates`` shares, keyed on the tallies, M and k_min.
     Any other frame whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
     """
-    _require_valid_tallies(obs, mpr)
-    k_min, k_max = search_lower_bound(obs, mpr), 10 * obs.L * mpr.M
-    key = (obs.L, obs.E, obs.S, obs.C, mpr.M, k_min)
+    key = _frame_key(obs, mpr)
     n_hat = _mode_without_search(key)
     if n_hat is None:
-        search = _window_search(k_min, k_max)
+        search = _window_search(key[-1], 10 * obs.L * mpr.M)
         ks = next(search)
         try:
             while True:
@@ -301,32 +311,27 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
         except StopIteration as done:
             n_hat = done.value
         _remember(key, n_hat)
-    return MapEstimate(n_hat, k_min, k_max)
+    return _estimate(key, n_hat)
 
 
-def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> list[int]:
-    """Tags that replied in each frame: exact without a collision, else the MAP estimate.
+def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> list[MapEstimate]:
+    """Each frame's estimate of the tags that replied: exact without a collision, else MAP.
 
     A frame with no collided slot decoded every tag that replied, so its
-    count is ``identified``; any other frame's is ``map_estimate(obs,
-    mpr).n_hat``. Frames with the same key share one answer, remembered
-    answers are reused, and the rest are searched together. A frame that
-    needs a search and whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
+    estimate is ``MapEstimate(identified, identified, 10*L*M)``, which is
+    never ``saturated``; any other frame's is ``map_estimate(obs, mpr)``.
+    Frames with the same key share one answer, remembered answers are
+    reused, and the rest are searched together. A frame that needs a search
+    and whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
     """
-    frames = list(frames)
-    keys = []
-    for obs in frames:
-        _require_valid_tallies(obs, mpr)
-        if obs.C == 0:
-            keys.append(None)
-        else:
-            keys.append((obs.L, obs.E, obs.S, obs.C, mpr.M, search_lower_bound(obs, mpr)))
-    modes = {key: _mode_without_search(key) for key in dict.fromkeys(keys) if key is not None}
+    # key[3] is C; without collisions, k_min = key[-1] is identified itself
+    keys = [_frame_key(obs, mpr) for obs in frames]
+    modes = {key: _mode_without_search(key) for key in dict.fromkeys(keys) if key[3]}
     misses = [key for key, mode in modes.items() if mode is None]
     for start in range(0, len(misses), _BATCH_ROWS):
         chunk = misses[start:start + _BATCH_ROWS]
         modes.update(zip(chunk, _search_rows(chunk)))
-    return [obs.identified if key is None else modes[key] for obs, key in zip(frames, keys)]
+    return [_estimate(key, modes[key] if key[3] else key[-1]) for key in keys]
 
 
 def posterior_curve(
@@ -337,7 +342,7 @@ def posterior_curve(
     ``k_range`` must be a non-empty ``range`` of candidates >= 0, in either
     direction. Exponentiation is max-shifted for stability.
     """
-    _require_valid_tallies(obs, mpr)
+    _frame_key(obs, mpr)  # checks the decoded tags against M
     if not isinstance(k_range, range) or not k_range or min(k_range[0], k_range[-1]) < 0:
         raise ValueError("k_range must be a non-empty range of candidates >= 0")
     ks = np.arange(k_range.start, k_range.stop, k_range.step)

@@ -68,8 +68,9 @@ class ExperimentSpec:
         return cls(**kwargs)
 
     def cells(self) -> list[CellKey]:
+        # numpy elements become Python ints, which JSON can write
         keys = [
-            (variant.value, n, m, l0)
+            (variant.value, int(n), int(m), int(l0))
             for variant in self.variants
             for n in self.tag_counts
             for m in self.mpr_orders
@@ -121,13 +122,13 @@ def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics
         result = run_interrogation(config, _trial_rng(master_seed, key, trial))
         delays[trial] = result.total_slots
         first_frames.append(result.frames[0])
-    n_hats = population_estimates(first_frames, mpr)
-    estimates = np.array(n_hats, dtype=float)
+    first_estimates = population_estimates(first_frames, mpr)
+    estimates = np.array([e.n_hat for e in first_estimates], dtype=float)
     read_rates = n / delays
     errors = np.abs(estimates - n) / n * 100.0 if n > 0 else np.full(trials, math.nan)
     return key, AggregateMetrics(
         trials, *_mean_std(read_rates), *_mean_std(delays), *_mean_std(errors)
-    ), n_hats.count(10 * l0 * m)
+    ), sum(e.saturated for e in first_estimates)
 
 
 def run_experiment(
@@ -137,7 +138,7 @@ def run_experiment(
     ``progress``, each finished cell prints a line on stderr, noting any estimates at the cap."""
     require_count("parallel", parallel, 1)
     cells = spec.cells()
-    jobs = [(key, spec.trials, spec.master_seed) for key in cells]
+    jobs = [(key, int(spec.trials), spec.master_seed) for key in cells]
     results: dict[CellKey, AggregateMetrics] = {}
     # no more workers than cells or CPUs; with one, the cells run in this process
     workers = min(parallel, len(cells), os.cpu_count() or 1)

@@ -38,6 +38,7 @@ class MprOrder:
 
     def __post_init__(self) -> None:
         require_count("MPR order", self.M, 1)
+        object.__setattr__(self, "M", int(self.M))  # a numpy M would wrap 10*L*M
 
 
 #: the collision-tail series stops once a term at x = M+1, its worst case,

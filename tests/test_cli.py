@@ -329,7 +329,7 @@ _ESTIMATE = ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M",
         ("run_experiment", _simulate()),
         ("optimal_length_table", ["analyze", "--optimal-length"]),
         ("efficiency_curve", ["analyze", "--efficiency-curve", "--mpr-orders", "2"]),
-        ("map_estimate", _ESTIMATE),
+        ("population_estimates", _ESTIMATE),
         # the estimate is not printed when its curve fails
         ("posterior_curve", [*_ESTIMATE, "--curve-out", "curve.csv"]),
     ],

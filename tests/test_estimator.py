@@ -11,6 +11,7 @@ from conftest import brute_force_map, trinomial_log_posterior
 from dfsa_mpr import estimator
 from dfsa_mpr.estimator import (
     FrameObservation,
+    MapEstimate,
     _log_posterior_array,
     _window_search,
     map_estimate,
@@ -81,6 +82,22 @@ class TestObservationInvariants:
         obs = FrameObservation(*(np.int64(v) for v in (10, 1, 3, 6, 3)))
         assert obs == EXAMPLE
         assert map_estimate(obs, MprOrder(1)) == map_estimate(EXAMPLE, MprOrder(1))
+        assert map_estimate(EXAMPLE, MprOrder(np.int64(2))) == map_estimate(EXAMPLE, MprOrder(2))
+        # counts are held as Python ints, so the cap 10 L M does not wrap at 2**63
+        L = 10**18
+        for M in (2, np.int64(2)):
+            for tallies in ((L, 0, 0, L, 0), (np.int64(L), 0, 0, np.int64(L), 0)):
+                obs = FrameObservation(*tallies)
+                [estimate] = population_estimates([obs], MprOrder(M))
+                assert estimate == map_estimate(obs, MprOrder(M))
+                assert estimate.n_hat == estimate.k_max == 2 * 10**19
+                assert type(estimate.n_hat) is int
+        # and a cap past int64 is refused as it is for Python ints
+        obs = FrameObservation(*map(np.int64, (L, 1, 3, L - 4, 3)))
+        with pytest.raises(ValueError, match="exceeds 2"):
+            map_estimate(obs, MprOrder(2))
+        with pytest.raises(ValueError, match="exceeds 2"):
+            population_estimates([obs], MprOrder(np.int64(2)))
 
 
 class TestLogPosterior:
@@ -179,7 +196,7 @@ class TestMapEstimate:
         obs = FrameObservation(L=10, E=0, S=0, C=10, identified=0)
         est = map_estimate(obs, MprOrder(3))
         assert (est.n_hat, kernel_calls) == (300, [])
-        assert population_estimates([obs, obs], MprOrder(3)) == [300, 300]
+        assert population_estimates([obs, obs], MprOrder(3)) == [est, est]
         assert kernel_calls == []
 
     def test_all_collided_frame_at_a_huge_mpr_order_returns_the_cap(self):
@@ -359,15 +376,15 @@ class TestWindowSearch:
         # (its cap 10 L M) to 25 candidates, and one window ends the search
         mpr = MprOrder(2)
         frames = [EXAMPLE, FrameObservation(L=66, E=0, S=1, C=65, identified=2)]
-        n_hats = []
+        estimates = []
         for obs, loads in zip(frames, ([64], [64, 256, 64, 25])):
             del kernel_calls[:]
-            n_hats.append(map_estimate(obs, mpr).n_hat)
+            estimates.append(map_estimate(obs, mpr))
             assert kernel_calls == loads
-        assert n_hats == [30, 520]
+        assert [e.n_hat for e in estimates] == [30, 520]
         estimator._memo.clear()
         del kernel_calls[:]
-        assert population_estimates(frames, mpr) == n_hats
+        assert population_estimates(frames, mpr) == estimates
         assert kernel_calls == [2 * 64, 256, 64, 25]
 
     @pytest.mark.parametrize("L, E, S, C, M, n_hat", _FAR_MODES)
@@ -379,7 +396,7 @@ class TestWindowSearch:
         assert loads[:3] == [64, 256, 64] and max(loads) <= 256
         estimator._memo.clear()
         del kernel_calls[:]
-        assert population_estimates([obs], mpr) == [n_hat]
+        assert [e.n_hat for e in population_estimates([obs], mpr)] == [n_hat]
         assert kernel_calls == loads
 
     def test_large_mpr_order_is_bounded_by_the_probe_rounds(self, kernel_calls):
@@ -401,7 +418,7 @@ class TestWindowSearch:
     def test_frames_that_need_no_search_answer_past_int64(self):
         L, mpr = 10**18, MprOrder(2)
         assert map_estimate(FrameObservation(L, 0, 0, L, 0), mpr).n_hat == 20 * L
-        assert population_estimates([FrameObservation(L, L - 3, 3, 0, 5)], mpr) == [5]
+        assert population_estimates([FrameObservation(L, L - 3, 3, 0, 5)], mpr)[0].n_hat == 5
 
 
 class TestMemo:
@@ -427,7 +444,7 @@ class TestMemo:
         searched = len(kernel_calls)
         assert searched > 0
         assert map_estimate(self.OBS, MprOrder(3)) == first
-        assert population_estimates([self.OBS] * 3, MprOrder(3)) == [first.n_hat] * 3
+        assert population_estimates([self.OBS] * 3, MprOrder(3)) == [first] * 3
         assert len(kernel_calls) == searched
 
     def test_frames_differing_only_in_identified_do_not_share_an_answer(self, kernel_calls):
@@ -436,18 +453,19 @@ class TestMemo:
         frames = [FrameObservation(64, 19, 28, 17, identified) for identified in (84, 28, 50, 84)]
 
         def one_by_one():
-            return [map_estimate(obs, MprOrder(3)).n_hat for obs in frames]
+            return [map_estimate(obs, MprOrder(3)) for obs in frames]
 
         def batched():
             return population_estimates(frames, MprOrder(3))
 
         for estimate in (one_by_one, batched):
             estimator._memo.clear()
-            n_hats = estimate()
+            estimates = estimate()
+            n_hats = [e.n_hat for e in estimates]
             assert len(estimator._memo) == 3
             assert n_hats == [152, 130, 130, 152]
             searched = len(kernel_calls)
-            assert one_by_one() == batched() == n_hats
+            assert one_by_one() == batched() == estimates
             assert len(kernel_calls) == searched
         for obs, n_hat in zip(frames, n_hats):
             k_min = obs.identified + 4 * 17
@@ -518,12 +536,12 @@ class TestPopulationEstimate:
     def test_collision_free_frame_is_counted_exactly(self):
         clean = FrameObservation(L=10, E=0, S=10, C=0, identified=10)
         assert map_estimate(clean, MprOrder(2)).n_hat == 14
-        assert population_estimates([clean], MprOrder(2)) == [10]
+        assert population_estimates([clean], MprOrder(2)) == [MapEstimate(10, 10, 200)]
 
     @pytest.mark.parametrize("M", [1, 2, 4])
     def test_collided_frame_takes_the_map_estimate(self, M):
         mpr = MprOrder(M)
-        assert population_estimates([EXAMPLE], mpr) == [map_estimate(EXAMPLE, mpr).n_hat]
+        assert population_estimates([EXAMPLE], mpr) == [map_estimate(EXAMPLE, mpr)]
 
     def test_collision_free_frame_is_checked(self):
         overfull = FrameObservation(L=10, E=6, S=4, C=0, identified=9)
@@ -603,7 +621,7 @@ def test_population_estimates_split_into_one_row_kernel_calls(kernel_calls, batc
     frames = frames + [FrameObservation(L, E, S, C, S)]
     del kernel_calls[:]
     with mock.patch.object(estimator, "_BATCH_ROWS", 1):
-        assert _check_population_estimates(M, frames)[-1] == n_hat
+        assert _check_population_estimates(M, frames)[-1].n_hat == n_hat
     assert 0 < max(kernel_calls) <= estimator._WINDOWS[-1]
 
 
@@ -615,7 +633,10 @@ def _check_population_estimates(M, frames):
     expected = []
     for obs in frames:
         estimator._memo.clear()
-        expected.append(obs.identified if obs.C == 0 else map_estimate(obs, mpr).n_hat)
+        if obs.C == 0:
+            expected.append(MapEstimate(obs.identified, obs.identified, 10 * obs.L * M))
+        else:
+            expected.append(map_estimate(obs, mpr))
     # a cold memo, one that some frames' own estimates filled, and a warm one
     estimator._memo.clear()
     assert population_estimates(frames, mpr) == expected
@@ -624,11 +645,13 @@ def _check_population_estimates(M, frames):
         map_estimate(obs, mpr)
     assert population_estimates(frames, mpr) == expected
     assert population_estimates(iter(frames), mpr) == expected
-    for obs, n_hat in zip(frames, expected):
+    for obs, estimate in zip(frames, expected):
         k_max = 10 * obs.L * M
         if obs.C > 0 and k_max <= _BRUTE_FORCE_CAP:
             k_min = search_lower_bound(obs, mpr)
-            assert n_hat == brute_force_map(obs.L, obs.E, obs.S, obs.C, M, k_max=k_max, k_min=k_min)
+            assert estimate.n_hat == brute_force_map(
+                obs.L, obs.E, obs.S, obs.C, M, k_max=k_max, k_min=k_min
+            )
     return expected
 
 
@@ -655,7 +678,7 @@ def test_estimates_equal_the_first_argmax_over_the_whole_cap(frame):
     assert map_estimate(obs, mpr).n_hat == first_argmax
     if obs.C > 0:
         estimator._memo.clear()
-        assert population_estimates([obs], mpr) == [first_argmax]
+        assert [e.n_hat for e in population_estimates([obs], mpr)] == [first_argmax]
 
 
 def test_search_lower_bound_counts_collision_minimum():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import dfsa_mpr.harness as harness
@@ -194,6 +195,15 @@ class TestEmitResults:
         records = json.loads(render_json(table))
         assert len(records) == len(table)
         assert set(records[0]) == set(CSV_COLUMNS)
+
+    def test_spec_of_numpy_integers_renders_the_same_bytes(self):
+        def spec(count):
+            return ExperimentSpec(tag_counts=[count(20)], mpr_orders=[count(2)],
+                                  initial_frame_lengths=[count(16)], trials=count(3))
+
+        numpy_table, table = run_experiment(spec(np.int64)), run_experiment(spec(int))
+        assert render_csv(numpy_table) == render_csv(table)
+        assert render_json(numpy_table) == render_json(table)
 
     def test_unknown_format_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
