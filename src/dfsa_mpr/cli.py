@@ -1,12 +1,15 @@
 """Command-line front end: simulate sweeps, tabulate closed forms, run the estimator.
 
 Exit codes: 0 on success, 1 on bad configuration or arguments, an output path
-that cannot be written or arguments too large to hold in memory, 2 on a
-runtime diagnostic (e.g. the non-termination safety cap). Only ``main`` turns
-an error into an exit code and one ``dfsa-mpr`` line on stderr (after the
-usage line, for argparse errors), never a traceback. ``simulate`` checks its
-spec and opens its output file before the sweep, and ``estimate`` writes its
-curve file before it prints. Progress goes to stderr; data to the file or stdout.
+that cannot be written, arguments too large to hold in memory or estimator
+work past its budget, 2 on a runtime diagnostic (the non-termination safety
+cap). Only ``main`` turns an error into an exit code and one ``dfsa-mpr``
+line on stderr (after the usage line, for argparse errors), never a
+traceback. ``simulate`` checks its spec and opens its output file before the
+sweep; a cell that does not terminate leaves out its row, every other row is
+written, and each such cell gets its own ``dfsa-mpr`` line before the exit 2.
+``estimate`` writes its curve file before it prints. Progress goes to
+stderr; data to the file or stdout.
 """
 
 from __future__ import annotations
@@ -150,8 +153,13 @@ def _cmd_simulate(args) -> None:
     # create the output file now, so that a path that cannot be written fails
     # before the sweep rather than after it
     _write("", args.out)
-    table = run_experiment(spec, parallel=args.parallel, progress=True)
     render = render_csv if args.format == "csv" else render_json
+    try:
+        table = run_experiment(spec, parallel=args.parallel, progress=True)
+    except NonTerminationError as exc:
+        # the cells that finished are written before the failures are reported
+        _write(render(exc.table), args.out)
+        raise
     _write(render(table), args.out)
 
 
@@ -179,8 +187,7 @@ def _cmd_estimate(args) -> None:
             k_max = max(2 * estimate.n_hat + 10, k_min + 100)
         if k_max < k_min:
             raise ValueError(f"curve k max {k_max} below lower bound {k_min}")
-        # a bad path fails before the curve is built; the curve is written before any output
-        _write("", args.curve_out)
+        # written before any output; a refused curve leaves no file
         curve = posterior_curve(obs, mpr, range(k_min, k_max + 1))
         _write(csv_text(["k", "probability"], curve), args.curve_out)
     print(estimate.n_hat)
@@ -202,7 +209,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args.run(args)
     except NonTerminationError as exc:
-        print(f"dfsa-mpr: {exc}", file=sys.stderr)
+        for line in str(exc).splitlines():
+            print(f"dfsa-mpr: {line}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"dfsa-mpr: {exc}", file=sys.stderr)

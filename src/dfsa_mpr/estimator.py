@@ -65,7 +65,10 @@ k. Many narrow rounds beat few wide ones because a kernel call costs about
 as much before its first candidate as several hundred candidates do.
 
 Every candidate is held in int64, so a frame that needs a search and whose
-k_max exceeds 2^63 - 1 raises ValueError.
+k_max exceeds 2^63 - 1 raises ValueError. A candidate costs O(M), so a
+search at an M past ``prob_model.KERNEL_M_MAX``, and a ``posterior_curve``
+whose candidates times M pass ``_CURVE_BUDGET``, raise ValueError before any
+kernel call.
 
 This rule lives in one generator, ``_window_search``, which yields each
 round's candidates and is sent their values, and two drivers step it.
@@ -79,10 +82,10 @@ records, with k_min, k_max and ``saturated``, so no caller computes the
 bounds, and ``population_estimates`` counts a collision-free frame exactly.
 
 Answers are remembered per process in one memo that ``map_estimate`` and
-``population_estimates`` share: up to 16,384 keys (L, E, S, C, M, k_min),
-and emptied when full. ``identified`` enters the key only through k_min,
-and k_max follows from L and M. An all-collided frame needs no search and is
-not stored.
+``population_estimates`` share: up to 16,384 keys (L, E, S, C, M, k_min,
+k_max), and emptied when full. ``identified`` enters the key only through
+k_min, and k_max follows from L and M. An all-collided frame needs no
+search and is not stored.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from typing import Generator, Iterable, Optional
 
 import numpy as np
 
-from .prob_model import MprOrder, log_slot_probabilities, require_count
+from .prob_model import MprOrder, log_slot_probabilities, require_count, require_kernel_order
 
 #: candidates in the two windows of the mode search, the second of them
 #: also the most candidates any round evaluates, and the probe pairs of a
@@ -109,8 +112,13 @@ _INT64_MAX = 2**63 - 1
 #: more than this many rows of at most ``_WINDOWS[-1]`` candidates
 _BATCH_ROWS = 1024
 
-#: what a posterior mode depends on: (L, E, S, C, M, k_min); k_max = 10 L M
-_MemoKey = tuple[int, int, int, int, int, int]
+#: the most candidates times M that ``posterior_curve`` evaluates: a
+#: candidate costs about 0.5 us plus 15-60 ns per unit of M on a 2-vCPU
+#: host, so a curve at this budget takes at most about 5 s, at M = 1
+_CURVE_BUDGET = 10**7
+
+#: what a posterior mode depends on, with its search bounds: (L, E, S, C, M, k_min, k_max)
+_MemoKey = tuple[int, int, int, int, int, int, int]
 
 #: the most keys whose posterior mode a process remembers; a full memo is
 #: emptied before it takes the next key
@@ -172,6 +180,7 @@ class MapEstimate:
 
 
 def _log_posterior_array(ks: np.ndarray, L: int, E: int, S: int, C: int, M: int) -> np.ndarray:
+    require_kernel_order(M)
     log_e, log_s, log_c = log_slot_probabilities(ks / L, M)
     # a class with no slots contributes nothing, even where its probability is 0
     out = E * log_e
@@ -183,27 +192,15 @@ def _log_posterior_array(ks: np.ndarray, L: int, E: int, S: int, C: int, M: int)
 
 
 def _frame_key(obs: FrameObservation, mpr: MprOrder) -> _MemoKey:
-    """The frame's key; raises ValueError unless the decoded tags fit in the
-    S slots at MPR order M (``FrameObservation`` checks every other rule)."""
-    if obs.identified > obs.S * mpr.M:
-        raise ValueError(
-            f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {mpr.M}"
-        )
-    return (obs.L, obs.E, obs.S, obs.C, mpr.M, search_lower_bound(obs, mpr))
-
-
-def _estimate(key: _MemoKey, n_hat: int) -> MapEstimate:
-    """The estimate n_hat of the frame with this key, with its search bounds."""
-    L, _, _, _, M, k_min = key
-    return MapEstimate(n_hat, k_min, 10 * L * M)
-
-
-def search_lower_bound(obs: FrameObservation, mpr: MprOrder) -> int:
-    """Smallest population consistent with the tallies: identified tags plus M+1 per collision.
-
-    Vogt's lower bound at M = 1. Next-frame sizing relies on it.
-    """
-    return obs.identified + (mpr.M + 1) * obs.C
+    """The frame's key, where its search bounds are computed: k_min, the
+    identified tags plus M+1 per collision (Vogt's lower bound at M = 1, which
+    next-frame sizing relies on), and k_max = 10*L*M. Raises ValueError unless
+    the decoded tags fit in the S slots at MPR order M (``FrameObservation``
+    checks every other rule)."""
+    M = mpr.M
+    if obs.identified > obs.S * M:
+        raise ValueError(f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {M}")
+    return (obs.L, obs.E, obs.S, obs.C, M, obs.identified + (M + 1) * obs.C, 10 * obs.L * M)
 
 
 def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
@@ -241,10 +238,10 @@ def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
 def _mode_without_search(key: _MemoKey) -> Optional[int]:
     """The posterior mode where no search is needed, else None: the cap for
     an all-collided frame, or the memo's answer."""
-    L, E, S, C, M, k_min = key
+    L, E, S, C, M, k_min, k_max = key
     # P(X > M)^L rises strictly in k when every slot collided: the argmax is the cap
     if C == L:
-        return 10 * L * M
+        return k_max
     return _memo.get(key)
 
 
@@ -265,12 +262,13 @@ def _search_rows(keys: list[_MemoKey]) -> list[int]:
     each row's values are exactly ``_log_posterior_array``'s.
     """
     M = keys[0][4]
+    require_kernel_order(M)
     modes = [0] * len(keys)
     # (row, its search, its candidates) for every key still unresolved, in
     # key order; the caps are Python ints, checked before any numpy array
     live = []
-    for row, (L, _, _, _, _, k_min) in enumerate(keys):
-        search = _window_search(k_min, 10 * L * M)
+    for row, (*_, k_min, k_max) in enumerate(keys):
+        search = _window_search(k_min, k_max)
         live.append((row, search, next(search)))
     L, E, S, C = np.array([key[:4] for key in keys]).T
     while live:
@@ -298,20 +296,22 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     An all-collided frame gives the cap itself, and the estimate is
     ``saturated``. Answers are remembered in the memo that
     ``population_estimates`` shares, keyed on the tallies, M and k_min.
-    Any other frame whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
+    Any other frame whose cap 10*L*M exceeds 2**63 - 1, or whose M is past
+    ``KERNEL_M_MAX``, raises ValueError.
     """
     key = _frame_key(obs, mpr)
+    L, E, S, C, M, k_min, k_max = key
     n_hat = _mode_without_search(key)
     if n_hat is None:
-        search = _window_search(key[-1], 10 * obs.L * mpr.M)
+        search = _window_search(k_min, k_max)
         ks = next(search)
         try:
             while True:
-                ks = search.send(_log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M))
+                ks = search.send(_log_posterior_array(ks, L, E, S, C, M))
         except StopIteration as done:
             n_hat = done.value
         _remember(key, n_hat)
-    return _estimate(key, n_hat)
+    return MapEstimate(n_hat, k_min, k_max)
 
 
 def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> list[MapEstimate]:
@@ -322,16 +322,20 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
     never ``saturated``; any other frame's is ``map_estimate(obs, mpr)``.
     Frames with the same key share one answer, remembered answers are
     reused, and the rest are searched together. A frame that needs a search
-    and whose cap 10*L*M exceeds 2**63 - 1 raises ValueError.
+    and whose cap 10*L*M exceeds 2**63 - 1, or whose M is past
+    ``KERNEL_M_MAX``, raises ValueError.
     """
-    # key[3] is C; without collisions, k_min = key[-1] is identified itself
     keys = [_frame_key(obs, mpr) for obs in frames]
-    modes = {key: _mode_without_search(key) for key in dict.fromkeys(keys) if key[3]}
+    modes = {}
+    for key in dict.fromkeys(keys):
+        L, E, S, C, M, k_min, k_max = key
+        # without collisions, k_min is identified itself
+        modes[key] = _mode_without_search(key) if C else k_min
     misses = [key for key, mode in modes.items() if mode is None]
     for start in range(0, len(misses), _BATCH_ROWS):
         chunk = misses[start:start + _BATCH_ROWS]
         modes.update(zip(chunk, _search_rows(chunk)))
-    return [_estimate(key, modes[key] if key[3] else key[-1]) for key in keys]
+    return [MapEstimate(modes[key], *key[5:]) for key in keys]
 
 
 def posterior_curve(
@@ -340,11 +344,19 @@ def posterior_curve(
     """Posterior over k_range, normalized to sum to 1 (plot data for the MAP curve).
 
     ``k_range`` must be a non-empty ``range`` of candidates >= 0, in either
-    direction. Exponentiation is max-shifted for stability.
+    direction, and at most ``_CURVE_BUDGET`` candidates times M, with M at
+    most ``KERNEL_M_MAX``. Exponentiation is max-shifted for stability.
     """
     _frame_key(obs, mpr)  # checks the decoded tags against M
     if not isinstance(k_range, range) or not k_range or min(k_range[0], k_range[-1]) < 0:
         raise ValueError("k_range must be a non-empty range of candidates >= 0")
+    # len() of a range fails past sys.maxsize
+    candidates = (k_range[-1] - k_range[0]) // k_range.step + 1
+    if candidates * mpr.M > _CURVE_BUDGET:
+        raise ValueError(
+            f"a posterior curve of {candidates} candidates at MPR order {mpr.M} exceeds"
+            f" the budget of {_CURVE_BUDGET} candidates times M"
+        )
     ks = np.arange(k_range.start, k_range.stop, k_range.step)
     logp = _log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M)
     peak = float(np.max(logp))

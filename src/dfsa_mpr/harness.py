@@ -26,7 +26,7 @@ import numpy as np
 from .estimator import population_estimates
 from .frame_optimizer import optimal_frame_length
 from .prob_model import MprOrder, channel_efficiency, require_count
-from .protocol import ProtocolConfig, Variant, run_interrogation
+from .protocol import NonTerminationError, ProtocolConfig, Variant, run_interrogation
 
 #: cell key: (variant value, n, M, L0)
 CellKey = tuple[str, int, int, int]
@@ -108,8 +108,12 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), std
 
 
-def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics, int]:
-    """The cell's metrics, and how many first-frame estimates are the cap 10*L0*M."""
+def _run_cell(
+    args: tuple[CellKey, int, int]
+) -> tuple[CellKey, AggregateMetrics | NonTerminationError, int]:
+    """The cell's metrics, and how many first-frame estimates are the cap
+    10*L0*M; a trial that does not terminate is returned in place of the
+    metrics, so that in a pool it does not end the other cells."""
     key, trials, master_seed = args
     variant_value, n, m, l0 = key
     mpr = MprOrder(m)
@@ -119,7 +123,10 @@ def _run_cell(args: tuple[CellKey, int, int]) -> tuple[CellKey, AggregateMetrics
     delays = np.empty(trials)
     first_frames = []
     for trial in range(trials):
-        result = run_interrogation(config, _trial_rng(master_seed, key, trial))
+        try:
+            result = run_interrogation(config, _trial_rng(master_seed, key, trial))
+        except NonTerminationError as exc:
+            return key, exc, 0
         delays[trial] = result.total_slots
         first_frames.append(result.frames[0])
     first_estimates = population_estimates(first_frames, mpr)
@@ -135,21 +142,38 @@ def run_experiment(
     spec: ExperimentSpec, parallel: int = 1, progress: bool = False
 ) -> dict[CellKey, AggregateMetrics]:
     """Run every cell of the sweep; rows come back sorted by cell key. With
-    ``progress``, each finished cell prints a line on stderr, noting any estimates at the cap."""
+    ``progress``, each cell prints a line on stderr when it ends, noting any
+    estimates at the cap.
+
+    A cell whose trial exceeds the frame safety cap has no row, and every
+    other cell still runs. After the last cell such a sweep raises one
+    ``NonTerminationError``, with one line per failed cell, whose ``table``
+    holds the rows of the cells that finished.
+    """
     require_count("parallel", parallel, 1)
     cells = spec.cells()
     jobs = [(key, int(spec.trials), spec.master_seed) for key in cells]
     results: dict[CellKey, AggregateMetrics] = {}
+    failures = []
     # no more workers than cells or CPUs; with one, the cells run in this process
     workers = min(parallel, len(cells), os.cpu_count() or 1)
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # both maps yield in job order, so the rows stay sorted
         cell_map = pool.map if pool else map
         for i, (key, metrics, at_cap) in enumerate(cell_map(_run_cell, jobs), 1):
-            results[key] = metrics
-            if progress:
+            if isinstance(metrics, NonTerminationError):
+                failures.append(str(metrics))
+                outcome = "failed"
+            else:
+                results[key] = metrics
                 note = f"; {at_cap} of {spec.trials} first-frame estimates at the cap 10*L0*M"
-                print(f"[{i}/{len(cells)}] {key} done{note if at_cap else ''}", file=sys.stderr)
+                outcome = f"done{note if at_cap else ''}"
+            if progress:
+                print(f"[{i}/{len(cells)}] {key} {outcome}", file=sys.stderr)
+    if failures:
+        error = NonTerminationError("\n".join(failures))
+        error.table = results
+        raise error
     return results
 
 

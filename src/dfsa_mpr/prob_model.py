@@ -30,6 +30,21 @@ def require_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+#: the largest M the kernel is run at: a load costs about 40 ns per unit of
+#: M on a 2-vCPU host and a search evaluates fewer than 1,300 loads, so at
+#: 10^5 a search takes at most about 5 s (at 10^6 a 10-slot frame took 27 s)
+KERNEL_M_MAX = 10**5
+
+
+def require_kernel_order(M: int) -> None:
+    """Raise ValueError, before any O(M) work, if M is past ``KERNEL_M_MAX``."""
+    if M > KERNEL_M_MAX:
+        raise ValueError(
+            f"MPR order {M} exceeds {KERNEL_M_MAX}, the largest at which"
+            " slot probabilities are evaluated"
+        )
+
+
 @dataclass(frozen=True)
 class MprOrder:
     """Reader reception capability: up to M simultaneous tag replies decode."""
@@ -160,6 +175,7 @@ def log_slot_probabilities(
 def channel_efficiency(x: ArrayLike, M: int) -> np.ndarray:
     """Expected successful slots over L at Poisson load x = n/L >= 0, elementwise: p_s."""
     require_count("MPR order", M, 1)
+    require_kernel_order(M)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("load x must be finite and >= 0")

@@ -282,12 +282,23 @@ def test_output_into_missing_directory_is_one_error_line(argv, tmp_path, capsys)
 
 
 def test_simulate_non_termination_exit_2(monkeypatch, capsys):
+    # one tag ends in its first frame, and 60 tags in 4 slots do not; the
+    # rows written are those of the sweep without the cell that failed
     monkeypatch.setattr(protocol, "FRAME_SAFETY_CAP", 1)
-    code = main(["simulate", "--tag-counts", "60", "--mpr-orders", "1",
-                 "--initial-frame-lengths", "4", "--variants", "fsa", "--trials", "1"])
-    assert code == 2
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("dfsa-mpr: interrogation exceeded")
+    argv = ["simulate", "--mpr-orders", "1", "--initial-frame-lengths", "4", "--variants", "fsa",
+            "--trials", "1", "--tag-counts"]
+    assert main([*argv, "1"]) == 0
+    without = capsys.readouterr().out
+    assert len(without.splitlines()) == 2
+    for parallel in ("1", "2"):
+        code = main([*argv, "1,60", "--parallel", parallel])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == without
+        last = err.splitlines()[-1]
+        assert last.startswith("dfsa-mpr: interrogation exceeded")
+        assert [line for line in err.splitlines() if line.startswith("dfsa-mpr:")] == [last]
+        assert "(n=60, M=1, L0=4, variant=fsa)" in last
 
 
 def test_analyze_curve_too_large_to_hold_is_one_error_line(capsys):
@@ -310,6 +321,25 @@ def test_estimate_with_a_search_cap_past_int64_is_one_error_line(L, capsys):
     argv = ["estimate", "--L", str(L), "--E", "1", "--S", "3", "--C", str(L - 4), "--M", "2"]
     assert main(argv) == 1
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", "100000000"],
+        ["estimate", "--L", "10", "--E", "7", "--S", "3", "--C", "0", "--M", "100000000",
+         "--identified", "3", "--curve-out", "curve.csv"],
+        ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", "2",
+         "--curve-out", "curve.csv", "--curve-k-max", "100000000"],
+        ["analyze", "--optimal-length", "--tag-counts", "100", "--mpr-orders", "100000000"],
+    ],
+)
+def test_estimator_work_past_its_budget_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    # a refused curve leaves no file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert " exceeds " in _assert_one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _raise(exc):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_map, trinomial_log_posterior
-from dfsa_mpr import estimator
+from dfsa_mpr import estimator, prob_model
 from dfsa_mpr.estimator import (
     FrameObservation,
     MapEstimate,
@@ -17,7 +17,6 @@ from dfsa_mpr.estimator import (
     map_estimate,
     population_estimates,
     posterior_curve,
-    search_lower_bound,
 )
 from dfsa_mpr.harness import _trial_rng
 from dfsa_mpr.prob_model import MprOrder
@@ -415,6 +414,23 @@ class TestWindowSearch:
             population_estimates([EXAMPLE, obs], mpr)
         assert kernel_calls == [] and not estimator._memo
 
+    def test_a_search_past_the_largest_kernel_order_is_refused(self, monkeypatch, kernel_calls):
+        with pytest.raises(ValueError, match="MPR order 100000000 exceeds 100000,"):
+            map_estimate(EXAMPLE, MprOrder(10**8))
+        monkeypatch.setattr(prob_model, "KERNEL_M_MAX", 3)
+        assert map_estimate(EXAMPLE, MprOrder(3)).n_hat == 39
+        estimator._memo.clear()
+        del kernel_calls[:]
+        with pytest.raises(ValueError, match="MPR order 4 exceeds 3,"):
+            map_estimate(EXAMPLE, MprOrder(4))
+        with pytest.raises(ValueError, match="MPR order 4 exceeds 3,"):
+            population_estimates([EXAMPLE], MprOrder(4))
+        assert kernel_calls == [] and not estimator._memo
+        # frames that need no search are not bounded
+        frames = [FrameObservation(10, 0, 0, 10, 0), FrameObservation(10, 7, 3, 0, 3)]
+        assert [e.n_hat for e in population_estimates(frames, MprOrder(4))] == [400, 3]
+        assert kernel_calls == []
+
     def test_frames_that_need_no_search_answer_past_int64(self):
         L, mpr = 10**18, MprOrder(2)
         assert map_estimate(FrameObservation(L, 0, 0, L, 0), mpr).n_hat == 20 * L
@@ -431,13 +447,13 @@ class TestMemo:
         frames = [FrameObservation(64, 19, 28, 17, identified) for identified in (28, 29, 30, 31)]
         for obs in frames[:3]:
             map_estimate(obs, MprOrder(3))
-        assert [key[-1] - 68 for key in estimator._memo] == [28, 29, 30]
+        assert [key[5] - 68 for key in estimator._memo] == [28, 29, 30]
         searched = len(kernel_calls)
         map_estimate(frames[0], MprOrder(3))
         assert len(kernel_calls) == searched
         population_estimates(frames[3:], MprOrder(3))
         assert len(kernel_calls) > searched
-        assert [key[-1] - 68 for key in estimator._memo] == [31]
+        assert [key[5] - 68 for key in estimator._memo] == [31]
 
     def test_repeated_key_is_a_hit(self, kernel_calls):
         first = map_estimate(self.OBS, MprOrder(3))
@@ -530,6 +546,25 @@ class TestPosteriorCurve:
         assert dict(reversed_) == pytest.approx(forward, rel=1e-15)
         with pytest.raises(ValueError, match="non-empty range"):
             posterior_curve(EXAMPLE, MprOrder(1), range(22, -2, -1))
+
+    def test_a_curve_past_its_budget_is_refused(self, monkeypatch, kernel_calls):
+        # the collision-free frame whose 101-candidate curve at M = 10^8 ran for minutes
+        clean = FrameObservation(10, 7, 3, 0, 3)
+        with pytest.raises(ValueError, match="101 candidates at MPR order 100000000 exceeds"):
+            posterior_curve(clean, MprOrder(10**8), range(3, 104))
+        with pytest.raises(ValueError, match="MPR order 1000000 exceeds 100000,"):
+            posterior_curve(clean, MprOrder(10**6), range(3, 4))
+        with pytest.raises(ValueError, match="5000001 candidates at MPR order 2 exceeds"):
+            posterior_curve(EXAMPLE, MprOrder(2), range(15, 5_000_016))
+        with pytest.raises(ValueError, match="budget of 10000000 candidates times M"):
+            posterior_curve(EXAMPLE, MprOrder(1), range(10**30, 0, -1))
+        assert kernel_calls == []
+        monkeypatch.setattr(estimator, "_CURVE_BUDGET", 40)
+        assert len(posterior_curve(EXAMPLE, MprOrder(2), range(34, 14, -1))) == 20
+        del kernel_calls[:]
+        with pytest.raises(ValueError, match="21 candidates at MPR order 2 exceeds"):
+            posterior_curve(EXAMPLE, MprOrder(2), range(15, 56, 2))
+        assert kernel_calls == []
 
 
 class TestPopulationEstimate:
@@ -648,7 +683,7 @@ def _check_population_estimates(M, frames):
     for obs, estimate in zip(frames, expected):
         k_max = 10 * obs.L * M
         if obs.C > 0 and k_max <= _BRUTE_FORCE_CAP:
-            k_min = search_lower_bound(obs, mpr)
+            k_min = obs.identified + (M + 1) * obs.C
             assert estimate.n_hat == brute_force_map(
                 obs.L, obs.E, obs.S, obs.C, M, k_max=k_max, k_min=k_min
             )
@@ -671,7 +706,7 @@ def frames_up_to_the_probe_rounds(draw):
 def test_estimates_equal_the_first_argmax_over_the_whole_cap(frame):
     M, obs = frame
     mpr = MprOrder(M)
-    k_min, k_max = search_lower_bound(obs, mpr), 10 * obs.L * M
+    k_min, k_max = obs.identified + (M + 1) * obs.C, 10 * obs.L * M
     values = _log_posterior_array(np.arange(k_min, k_max + 1), obs.L, obs.E, obs.S, obs.C, M)
     first_argmax = k_min + int(values.argmax())
     estimator._memo.clear()
@@ -682,5 +717,5 @@ def test_estimates_equal_the_first_argmax_over_the_whole_cap(frame):
 
 
 def test_search_lower_bound_counts_collision_minimum():
-    assert search_lower_bound(EXAMPLE, MprOrder(1)) == 3 + 2 * 6
-    assert search_lower_bound(EXAMPLE, MprOrder(3)) == 3 + 4 * 6
+    assert map_estimate(EXAMPLE, MprOrder(1)).k_min == 3 + 2 * 6
+    assert map_estimate(EXAMPLE, MprOrder(3)).k_min == 3 + 4 * 6

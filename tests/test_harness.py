@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dfsa_mpr.harness as harness
+import dfsa_mpr.protocol as protocol
 from dfsa_mpr.cli import main
 from dfsa_mpr.harness import (
     CSV_COLUMNS,
@@ -18,7 +20,7 @@ from dfsa_mpr.harness import (
     run_experiment,
 )
 from dfsa_mpr.prob_model import MprOrder
-from dfsa_mpr.protocol import Variant
+from dfsa_mpr.protocol import NonTerminationError, Variant
 
 
 def small_spec(**overrides):
@@ -167,6 +169,33 @@ class TestRunExperiment:
             "[1/2] ('dfsa', 1, 1, 2) done",
             "[2/2] ('dfsa', 50, 1, 2) done; 5 of 5 first-frame estimates at the cap 10*L0*M",
         ]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_a_cell_that_does_not_terminate_keeps_the_other_rows(
+        self, monkeypatch, capsys, parallel
+    ):
+        # within 20 frames every cell ends except 200 tags at M = 1, which
+        # sorts before a cell that ends; pool workers fork, so they see the cap
+        monkeypatch.setattr(protocol, "FRAME_SAFETY_CAP", 20)
+        spec = small_spec(tag_counts=[5, 200], mpr_orders=[1, 16], initial_frame_lengths=[16],
+                          variants=[Variant.FSA], trials=3)
+        with pytest.raises(NonTerminationError) as failed:
+            run_experiment(spec, parallel=parallel, progress=True)
+        assert capsys.readouterr().err.splitlines() == [
+            "[1/4] ('fsa', 5, 1, 16) done",
+            "[2/4] ('fsa', 5, 16, 16) done",
+            "[3/4] ('fsa', 200, 1, 16) failed",
+            "[4/4] ('fsa', 200, 16, 16) done",
+        ]
+        assert str(failed.value) == (
+            "interrogation exceeded 20 frames (n=200, M=1, L0=16, variant=fsa)"
+        )
+        # the rows are those of the same sweep without the failed cell
+        without = {**run_experiment(replace(spec, tag_counts=[5])),
+                   **run_experiment(replace(spec, tag_counts=[200], mpr_orders=[16]))}
+        assert list(failed.value.table) == sorted(without)
+        assert render_csv(failed.value.table) == render_csv(without)
+        assert render_json(failed.value.table) == render_json(without)
 
 
 class TestEmitResults:

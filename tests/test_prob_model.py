@@ -224,6 +224,14 @@ def test_channel_efficiency_rejects_bad_mpr_order(M):
         channel_efficiency(1.0, M)
 
 
+def test_channel_efficiency_past_the_largest_kernel_order_is_refused(monkeypatch):
+    calls = []
+    monkeypatch.setattr(prob_model, "log_slot_probabilities", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="MPR order 100001 exceeds 100000,"):
+        channel_efficiency(1.0, prob_model.KERNEL_M_MAX + 1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf, [0.5, -1.0]])
 def test_channel_efficiency_rejects_bad_load(x):
     with pytest.raises(ValueError, match="load"):
