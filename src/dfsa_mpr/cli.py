@@ -1,7 +1,7 @@
 """Command-line front end: simulate sweeps, tabulate closed forms, run the estimator.
 
 Exit codes: 0 on success, 1 on bad configuration or arguments, an output path
-that cannot be written, arguments too large to hold in memory or estimator
+that cannot be written, arguments too large to hold in memory or kernel
 work past its budget, 2 on a runtime diagnostic (the non-termination safety
 cap). Only ``main`` turns an error into an exit code and one ``dfsa-mpr``
 line on stderr (after the usage line, for argparse errors), never a

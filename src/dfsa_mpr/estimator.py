@@ -65,10 +65,11 @@ k. Many narrow rounds beat few wide ones because a kernel call costs about
 as much before its first candidate as several hundred candidates do.
 
 Every candidate is held in int64, so a frame that needs a search and whose
-k_max exceeds 2^63 - 1 raises ValueError. A candidate costs O(M), so a
-search at an M past ``prob_model.KERNEL_M_MAX``, and a ``posterior_curve``
-whose candidates times M pass ``_CURVE_BUDGET``, raise ValueError before any
-kernel call.
+k_max exceeds 2^63 - 1 raises ValueError before any kernel call. A
+candidate costs O(M): the kernel itself refuses an M past
+``prob_model.KERNEL_M_MAX`` before any O(M) work, and a ``posterior_curve``
+whose candidates times M pass ``prob_model``'s curve budget raises
+ValueError before any kernel call.
 
 This rule lives in one generator, ``_window_search``, which yields each
 round's candidates and is sent their values, and two drivers step it.
@@ -96,7 +97,7 @@ from typing import Generator, Iterable, Optional
 
 import numpy as np
 
-from .prob_model import MprOrder, log_slot_probabilities, require_count, require_kernel_order
+from .prob_model import MprOrder, log_slot_probabilities, require_count, require_curve_budget
 
 #: candidates in the two windows of the mode search, the second of them
 #: also the most candidates any round evaluates, and the probe pairs of a
@@ -111,11 +112,6 @@ _INT64_MAX = 2**63 - 1
 #: keys that one lockstep search steps together, so that no round holds
 #: more than this many rows of at most ``_WINDOWS[-1]`` candidates
 _BATCH_ROWS = 1024
-
-#: the most candidates times M that ``posterior_curve`` evaluates: a
-#: candidate costs about 0.5 us plus 15-60 ns per unit of M on a 2-vCPU
-#: host, so a curve at this budget takes at most about 5 s, at M = 1
-_CURVE_BUDGET = 10**7
 
 #: what a posterior mode depends on, with its search bounds: (L, E, S, C, M, k_min, k_max)
 _MemoKey = tuple[int, int, int, int, int, int, int]
@@ -180,7 +176,6 @@ class MapEstimate:
 
 
 def _log_posterior_array(ks: np.ndarray, L: int, E: int, S: int, C: int, M: int) -> np.ndarray:
-    require_kernel_order(M)
     log_e, log_s, log_c = log_slot_probabilities(ks / L, M)
     # a class with no slots contributes nothing, even where its probability is 0
     out = E * log_e
@@ -262,7 +257,6 @@ def _search_rows(keys: list[_MemoKey]) -> list[int]:
     each row's values are exactly ``_log_posterior_array``'s.
     """
     M = keys[0][4]
-    require_kernel_order(M)
     modes = [0] * len(keys)
     # (row, its search, its candidates) for every key still unresolved, in
     # key order; the caps are Python ints, checked before any numpy array
@@ -296,8 +290,8 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     An all-collided frame gives the cap itself, and the estimate is
     ``saturated``. Answers are remembered in the memo that
     ``population_estimates`` shares, keyed on the tallies, M and k_min.
-    Any other frame whose cap 10*L*M exceeds 2**63 - 1, or whose M is past
-    ``KERNEL_M_MAX``, raises ValueError.
+    Any other frame whose cap 10*L*M exceeds 2**63 - 1 raises ValueError,
+    and so does the kernel at an M past ``KERNEL_M_MAX``.
     """
     key = _frame_key(obs, mpr)
     L, E, S, C, M, k_min, k_max = key
@@ -322,8 +316,8 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
     never ``saturated``; any other frame's is ``map_estimate(obs, mpr)``.
     Frames with the same key share one answer, remembered answers are
     reused, and the rest are searched together. A frame that needs a search
-    and whose cap 10*L*M exceeds 2**63 - 1, or whose M is past
-    ``KERNEL_M_MAX``, raises ValueError.
+    and whose cap 10*L*M exceeds 2**63 - 1 raises ValueError, and so does
+    the kernel when a search is at an M past ``KERNEL_M_MAX``.
     """
     keys = [_frame_key(obs, mpr) for obs in frames]
     modes = {}
@@ -344,19 +338,16 @@ def posterior_curve(
     """Posterior over k_range, normalized to sum to 1 (plot data for the MAP curve).
 
     ``k_range`` must be a non-empty ``range`` of candidates >= 0, in either
-    direction, and at most ``_CURVE_BUDGET`` candidates times M, with M at
-    most ``KERNEL_M_MAX``. Exponentiation is max-shifted for stability.
+    direction, within ``prob_model``'s budget of candidates times M; the
+    kernel refuses an M past ``KERNEL_M_MAX``. Exponentiation is
+    max-shifted for stability.
     """
     _frame_key(obs, mpr)  # checks the decoded tags against M
     if not isinstance(k_range, range) or not k_range or min(k_range[0], k_range[-1]) < 0:
         raise ValueError("k_range must be a non-empty range of candidates >= 0")
     # len() of a range fails past sys.maxsize
     candidates = (k_range[-1] - k_range[0]) // k_range.step + 1
-    if candidates * mpr.M > _CURVE_BUDGET:
-        raise ValueError(
-            f"a posterior curve of {candidates} candidates at MPR order {mpr.M} exceeds"
-            f" the budget of {_CURVE_BUDGET} candidates times M"
-        )
+    require_curve_budget("a posterior curve", candidates, mpr.M)
     ks = np.arange(k_range.start, k_range.stop, k_range.step)
     logp = _log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M)
     peak = float(np.max(logp))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimator import population_estimates
 from .frame_optimizer import optimal_frame_length
-from .prob_model import MprOrder, channel_efficiency, require_count
+from .prob_model import MprOrder, channel_efficiency, require_count, require_curve_budget
 from .protocol import NonTerminationError, ProtocolConfig, Variant, run_interrogation
 
 #: cell key: (variant value, n, M, L0)
@@ -210,13 +210,16 @@ def render_json(table: Mapping[CellKey, AggregateMetrics]) -> str:
 
 def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
     """CSV table of the optimal frame length and its efficiency over an (n, M) grid."""
+    mprs = [MprOrder(m) for m in mpr_orders]
+    # every row priced at the largest M, which bounds the table's kernel work
+    require_curve_budget("an optimal-length table", len(tag_counts) * len(mprs),
+                         max((mpr.M for mpr in mprs), default=0))
     columns = []
-    for m in mpr_orders:
-        mpr = MprOrder(m)
+    for mpr in mprs:
         plans = [optimal_frame_length(n, mpr) for n in tag_counts]
         loads = [n / plan.length for n, plan in zip(tag_counts, plans)]
-        column = zip(tag_counts, plans, channel_efficiency(loads, m).tolist())
-        columns.append([(n, m, plan.raw_optimum, plan.length, eff) for n, plan, eff in column])
+        column = zip(tag_counts, plans, channel_efficiency(loads, mpr.M).tolist())
+        columns.append([(n, mpr.M, plan.raw_optimum, plan.length, eff) for n, plan, eff in column])
     # rows run over n, and over M within each n
     rows = [row for same_n in zip(*columns) for row in same_n]
     return csv_text(["n", "M", "raw_optimum", "length", "efficiency"], rows)
@@ -228,6 +231,7 @@ def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) ->
     if max_length is None:
         max_length = max(4 * n, 1)
     require_count("max length", max_length, 1)
+    require_curve_budget("an efficiency curve", max_length, mpr.M)
     lengths = np.arange(1, max_length + 1)
     efficiency = channel_efficiency(n / lengths, mpr.M)
     return csv_text(["L", "efficiency"], zip(lengths.tolist(), efficiency.tolist()))

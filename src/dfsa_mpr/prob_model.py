@@ -35,13 +35,23 @@ def require_count(name: str, value, least: int) -> None:
 #: 10^5 a search takes at most about 5 s (at 10^6 a 10-slot frame took 27 s)
 KERNEL_M_MAX = 10**5
 
+#: the most loads times M that one curve or table asks of the kernel
+#: (``estimator.posterior_curve``, ``harness.efficiency_curve`` and
+#: ``harness.optimal_length_table``). At M = 1 on a 2-vCPU host, a curve at
+#: this budget took 3.8 s from ``posterior_curve`` and 17.6 s from
+#: ``efficiency_curve`` (mostly its CSV text), each peaking at 1.79 GB; through
+#: the CLI, ``estimate --curve-out`` took 19.0 s at 2.21 GB and
+#: ``analyze --efficiency-curve`` 18.6 s at 1.79 GB
+_CURVE_BUDGET = 10**7
 
-def require_kernel_order(M: int) -> None:
-    """Raise ValueError, before any O(M) work, if M is past ``KERNEL_M_MAX``."""
-    if M > KERNEL_M_MAX:
+
+def require_curve_budget(what: str, loads: int, M: int) -> None:
+    """Raise ValueError, before anything is allocated, if ``loads`` kernel
+    loads at MPR order M pass ``_CURVE_BUDGET``; ``what`` names the request."""
+    if loads * M > _CURVE_BUDGET:
         raise ValueError(
-            f"MPR order {M} exceeds {KERNEL_M_MAX}, the largest at which"
-            " slot probabilities are evaluated"
+            f"{what} of {loads} candidates at MPR order {M} exceeds"
+            f" the budget of {_CURVE_BUDGET} candidates times M"
         )
 
 
@@ -159,7 +169,13 @@ def log_slot_probabilities(
     j = 1..M. The collided term is the tail series where x < M+1, and
     log(1 - P(X <= M)) above that. Every term stays finite for any M;
     x = 0 gives (0, -inf, -inf). Each value depends on its own x only.
+    An M past ``KERNEL_M_MAX`` raises ValueError before any O(M) work.
     """
+    if M > KERNEL_M_MAX:
+        raise ValueError(
+            f"MPR order {M} exceeds {KERNEL_M_MAX}, the largest at which"
+            " slot probabilities are evaluated"
+        )
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     constants = _kernel_constants(M)
@@ -175,7 +191,6 @@ def log_slot_probabilities(
 def channel_efficiency(x: ArrayLike, M: int) -> np.ndarray:
     """Expected successful slots over L at Poisson load x = n/L >= 0, elementwise: p_s."""
     require_count("MPR order", M, 1)
-    require_kernel_order(M)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("load x must be finite and >= 0")

@@ -1,11 +1,31 @@
-"""Shared oracles for the tests.
+"""Shared oracles and fixtures for the tests.
 
-Deliberately independent of the library's evaluation path: scalar math,
-direct formulas, the exact binomial occupancy and the full trinomial
-including the multinomial coefficient.
+The oracles are deliberately independent of the library's evaluation path:
+scalar math, direct formulas, the exact binomial occupancy and the full
+trinomial including the multinomial coefficient.
 """
 
 import math
+
+import pytest
+
+from dfsa_mpr import estimator, prob_model
+
+
+@pytest.fixture
+def kernel_orders(monkeypatch):
+    """Empties the estimator's memo, then records the M of every request for
+    the kernel's per-M constants, the first O(M) work of a kernel call."""
+    estimator._memo.clear()
+    orders = []
+    constants = prob_model._kernel_constants
+
+    def spy(M):
+        orders.append(M)
+        return constants(M)
+
+    monkeypatch.setattr(prob_model, "_kernel_constants", spy)
+    return orders
 
 
 def binomial_occupancy(j, n, L):

@@ -302,12 +302,28 @@ def test_simulate_non_termination_exit_2(monkeypatch, capsys):
 
 
 def test_analyze_curve_too_large_to_hold_is_one_error_line(capsys):
-    # 10^17 lengths take 8 * 10^17 bytes, more than any address space holds,
-    # so the allocation is refused whatever the overcommit policy
+    # 10^17 lengths pass the curve budget, which refuses them before they are allocated
     argv = ["analyze", "--efficiency-curve", "--tag-counts", "100", "--mpr-orders", "1",
             "--max-length", "100000000000000000"]
     assert main(argv) == 1
-    _assert_one_error_line(capsys)
+    assert " exceeds the budget " in _assert_one_error_line(capsys)
+
+
+def test_analyze_tag_counts_too_many_to_hold_are_one_error_line(capsys):
+    # 10^17 tag counts take 8 * 10^17 bytes, more than any address space
+    # holds, so the list is refused whatever the overcommit policy
+    argv = ["analyze", "--optimal-length", "--tag-counts", "0:100000000000000000",
+            "--mpr-orders", "1"]
+    assert main(argv) == 1
+    assert _assert_one_error_line(capsys) == "dfsa-mpr: not enough memory for these arguments"
+
+
+def test_analyze_curve_at_its_budget_is_written(capsys):
+    # 100 lengths at M = 10^5 are exactly the budget of 10^7 candidates times M
+    argv = ["analyze", "--efficiency-curve", "--tag-counts", "25", "--mpr-orders", "100000"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 101 and err == ""
 
 
 def test_analyze_tag_count_too_large_for_a_float_is_one_error_line(capsys):
@@ -332,6 +348,10 @@ def test_estimate_with_a_search_cap_past_int64_is_one_error_line(L, capsys):
         ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M", "2",
          "--curve-out", "curve.csv", "--curve-k-max", "100000000"],
         ["analyze", "--optimal-length", "--tag-counts", "100", "--mpr-orders", "100000000"],
+        ["analyze", "--efficiency-curve", "--tag-counts", "25000", "--mpr-orders", "100000",
+         "--out", "curve.csv"],
+        ["analyze", "--optimal-length", "--tag-counts", "1:1000", "--mpr-orders", "100000",
+         "--out", "table.csv"],
     ],
 )
 def test_estimator_work_past_its_budget_is_one_error_line(argv, tmp_path, monkeypatch, capsys):

@@ -414,9 +414,12 @@ class TestWindowSearch:
             population_estimates([EXAMPLE, obs], mpr)
         assert kernel_calls == [] and not estimator._memo
 
-    def test_a_search_past_the_largest_kernel_order_is_refused(self, monkeypatch, kernel_calls):
+    def test_a_search_past_the_largest_kernel_order_is_refused(
+        self, monkeypatch, kernel_calls, kernel_orders
+    ):
         with pytest.raises(ValueError, match="MPR order 100000000 exceeds 100000,"):
             map_estimate(EXAMPLE, MprOrder(10**8))
+        assert 10**8 not in kernel_orders and not estimator._memo
         monkeypatch.setattr(prob_model, "KERNEL_M_MAX", 3)
         assert map_estimate(EXAMPLE, MprOrder(3)).n_hat == 39
         estimator._memo.clear()
@@ -425,7 +428,8 @@ class TestWindowSearch:
             map_estimate(EXAMPLE, MprOrder(4))
         with pytest.raises(ValueError, match="MPR order 4 exceeds 3,"):
             population_estimates([EXAMPLE], MprOrder(4))
-        assert kernel_calls == [] and not estimator._memo
+        assert 4 not in kernel_orders and not estimator._memo
+        del kernel_calls[:]
         # frames that need no search are not bounded
         frames = [FrameObservation(10, 0, 0, 10, 0), FrameObservation(10, 7, 3, 0, 3)]
         assert [e.n_hat for e in population_estimates(frames, MprOrder(4))] == [400, 3]
@@ -547,7 +551,7 @@ class TestPosteriorCurve:
         with pytest.raises(ValueError, match="non-empty range"):
             posterior_curve(EXAMPLE, MprOrder(1), range(22, -2, -1))
 
-    def test_a_curve_past_its_budget_is_refused(self, monkeypatch, kernel_calls):
+    def test_a_curve_past_its_budget_is_refused(self, monkeypatch, kernel_calls, kernel_orders):
         # the collision-free frame whose 101-candidate curve at M = 10^8 ran for minutes
         clean = FrameObservation(10, 7, 3, 0, 3)
         with pytest.raises(ValueError, match="101 candidates at MPR order 100000000 exceeds"):
@@ -558,8 +562,8 @@ class TestPosteriorCurve:
             posterior_curve(EXAMPLE, MprOrder(2), range(15, 5_000_016))
         with pytest.raises(ValueError, match="budget of 10000000 candidates times M"):
             posterior_curve(EXAMPLE, MprOrder(1), range(10**30, 0, -1))
-        assert kernel_calls == []
-        monkeypatch.setattr(estimator, "_CURVE_BUDGET", 40)
+        assert kernel_orders == [] and not estimator._memo
+        monkeypatch.setattr(prob_model, "_CURVE_BUDGET", 40)
         assert len(posterior_curve(EXAMPLE, MprOrder(2), range(34, 14, -1))) == 20
         del kernel_calls[:]
         with pytest.raises(ValueError, match="21 candidates at MPR order 2 exceeds"):

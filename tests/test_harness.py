@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dfsa_mpr.harness as harness
+import dfsa_mpr.prob_model as prob_model
 import dfsa_mpr.protocol as protocol
 from dfsa_mpr.cli import main
 from dfsa_mpr.harness import (
@@ -267,6 +268,25 @@ class TestAnalysisTables:
         text = efficiency_curve(100, MprOrder(1), max_length=200)
         rows = {int(r["L"]): float(r["efficiency"]) for r in csv.DictReader(text.splitlines())}
         assert rows[100] == pytest.approx(math.exp(-1), rel=1e-5)
+
+    def test_tables_past_the_curve_budget_are_refused(self, kernel_orders):
+        with pytest.raises(ValueError, match="100000 candidates at MPR order 100000 exceeds"):
+            efficiency_curve(25000, MprOrder(10**5))
+        with pytest.raises(ValueError, match="budget of 10000000 candidates times M"):
+            optimal_length_table(list(range(1, 1001)), [10**5])
+        with pytest.raises(ValueError, match="10 candidates at MPR order 2000000 exceeds"):
+            optimal_length_table(list(range(1, 6)), [1, 2 * 10**6])
+        assert kernel_orders == []
+
+    def test_tables_at_the_curve_budget_are_computed(self, monkeypatch):
+        monkeypatch.setattr(prob_model, "_CURVE_BUDGET", 40)
+        assert len(efficiency_curve(5, MprOrder(2)).splitlines()) == 21
+        with pytest.raises(ValueError, match="21 candidates at MPR order 2 exceeds"):
+            efficiency_curve(5, MprOrder(2), max_length=21)
+        # every row is priced at the largest M
+        assert len(optimal_length_table(list(range(1, 11)), [1, 2]).splitlines()) == 21
+        with pytest.raises(ValueError, match="22 candidates at MPR order 2 exceeds"):
+            optimal_length_table(list(range(1, 12)), [1, 2])
 
 
 def test_csv_text_formats_floats_only():

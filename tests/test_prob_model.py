@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import binomial_occupancy
-from dfsa_mpr import prob_model
+from dfsa_mpr import estimator, prob_model
+from dfsa_mpr.estimator import FrameObservation, map_estimate, population_estimates, posterior_curve
+from dfsa_mpr.harness import efficiency_curve, optimal_length_table
 from dfsa_mpr.prob_model import MprOrder, channel_efficiency, log_slot_probabilities
 
 
@@ -224,12 +226,34 @@ def test_channel_efficiency_rejects_bad_mpr_order(M):
         channel_efficiency(1.0, M)
 
 
-def test_channel_efficiency_past_the_largest_kernel_order_is_refused(monkeypatch):
-    calls = []
-    monkeypatch.setattr(prob_model, "log_slot_probabilities", lambda *args: calls.append(args))
+def test_channel_efficiency_past_the_largest_kernel_order_is_refused(kernel_orders):
     with pytest.raises(ValueError, match="MPR order 100001 exceeds 100000,"):
         channel_efficiency(1.0, prob_model.KERNEL_M_MAX + 1)
-    assert calls == []
+    assert kernel_orders == [] and not estimator._memo
+
+
+_FRAME = FrameObservation(L=10, E=1, S=3, C=6, identified=3)
+
+
+@pytest.mark.parametrize(
+    "request_kernel",
+    [
+        pytest.param(lambda M: map_estimate(_FRAME, MprOrder(M)), id="map_estimate"),
+        pytest.param(lambda M: population_estimates([_FRAME], MprOrder(M)),
+                     id="population_estimates"),
+        pytest.param(lambda M: posterior_curve(_FRAME, MprOrder(M), range(30, 33)),
+                     id="posterior_curve"),
+        pytest.param(lambda M: channel_efficiency([0.5, 2.0], M), id="channel_efficiency"),
+        pytest.param(lambda M: efficiency_curve(30, MprOrder(M), max_length=8),
+                     id="efficiency_curve"),
+        pytest.param(lambda M: optimal_length_table([30, 60], [M]), id="optimal_length_table"),
+    ],
+)
+def test_the_kernel_refuses_an_order_past_its_bound_for_every_caller(request_kernel, kernel_orders):
+    # each request is inside the curve budget, so the kernel's own check refuses it
+    with pytest.raises(ValueError, match="MPR order 100001 exceeds 100000,"):
+        request_kernel(prob_model.KERNEL_M_MAX + 1)
+    assert kernel_orders == [] and not estimator._memo
 
 
 @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf, [0.5, -1.0]])
