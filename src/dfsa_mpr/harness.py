@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .estimator import population_estimates
+from .estimator import FrameObservation, population_estimates
 from .frame_optimizer import optimal_frame_length
 from .prob_model import MprOrder, channel_efficiency, require_count, require_curve_budget
 from .protocol import NonTerminationError, ProtocolConfig, Variant, run_interrogation
@@ -128,7 +128,8 @@ def _run_cell(
         except NonTerminationError as exc:
             return key, exc, 0
         delays[trial] = result.total_slots
-        first_frames.append(result.frames[0])
+        # the one record of the trial that is read
+        first_frames.append(FrameObservation(*result.tallies[0]))
     first_estimates = population_estimates(first_frames, mpr)
     estimates = np.array([e.n_hat for e in first_estimates], dtype=float)
     read_rates = n / delays

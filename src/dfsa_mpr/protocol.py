@@ -9,8 +9,9 @@ the next one for the MAP estimate minus the tags identified
 collided slot, when every tag has been identified; a run that reaches
 ``FRAME_SAFETY_CAP`` frames first raises ``NonTerminationError``.
 
-A run's record is each frame's ``FrameObservation`` and the total slot
-count; DFSA's estimate is used to size the next frame and is not kept.
+A run's record is each frame's tallies, a tuple of ints, and the total slot
+count; a checked ``FrameObservation`` is built only where one is read. DFSA's
+estimate is used to size the next frame and is not kept.
 
 A frame's tallies are read off one histogram of slot occupancy. DFSA draws
 each frame's slot choices on their own. FSA, whose frame length never
@@ -67,28 +68,33 @@ class ProtocolConfig:
             raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
 
 
+#: one frame's tallies, in ``FrameObservation`` field order: (L, E, S, C, identified)
+Tally = tuple[int, int, int, int, int]
+
+
 @dataclass(frozen=True)
 class InterrogationResult:
     """Each frame's tallies, in order; the tags left after a frame are n
     minus the running sum of ``identified``."""
 
-    frames: list[FrameObservation]
+    tallies: list[Tally]
     total_slots: int
 
+    @property
+    def frames(self) -> list[FrameObservation]:
+        """Each frame's checked ``FrameObservation``, built on each request."""
+        return [FrameObservation(*tally) for tally in self.tallies]
 
-def _tally(slots: np.ndarray, frame_length: int, mpr: MprOrder) -> FrameObservation:
-    """The frame in which each tag chose the slot in ``slots``; a slot with
-    1..M tags decodes. ``occupancy[c]`` is the number of slots with c tags."""
+
+def _tally(slots: np.ndarray, frame_length: int, mpr: MprOrder) -> Tally:
+    """The tallies of the frame in which each tag chose the slot in ``slots``;
+    a slot with 1..M tags decodes. ``occupancy[c]`` is the number of slots
+    with c tags."""
     occupancy = np.bincount(np.bincount(slots, minlength=frame_length)).tolist()
     decoded = occupancy[1 : mpr.M + 1]
     empty, success = occupancy[0], sum(decoded)
-    return FrameObservation(
-        L=frame_length,
-        E=empty,
-        S=success,
-        C=frame_length - empty - success,
-        identified=sum(c * slots_with_c for c, slots_with_c in enumerate(decoded, 1)),
-    )
+    identified = sum(c * slots_with_c for c, slots_with_c in enumerate(decoded, 1))
+    return frame_length, empty, success, frame_length - empty - success, identified
 
 
 def run_frame(
@@ -97,7 +103,8 @@ def run_frame(
     """Simulate one frame: uniform slot choice per tag, threshold-M slot resolution."""
     require_count("tag count", tags_remaining, 0)
     require_count("frame length", frame_length, 1)
-    return _tally(rng.integers(0, frame_length, size=tags_remaining), frame_length, mpr)
+    slots = rng.integers(0, frame_length, size=tags_remaining)
+    return FrameObservation(*_tally(slots, frame_length, mpr))
 
 
 def run_interrogation(config: ProtocolConfig, rng: np.random.Generator) -> InterrogationResult:
@@ -109,32 +116,35 @@ def run_interrogation(config: ProtocolConfig, rng: np.random.Generator) -> Inter
     is not in the state that one draw per frame would leave.
     """
     tags = config.n
-    frame_length = config.initial_frame_length
+    # a Python int, so every tally is one and no slot total wraps
+    frame_length = int(config.initial_frame_length)
     # only FSA's frame length is known ahead; DFSA draws each frame's own.
     # Each FSA draw runs ahead by the previous block's size, up to the cap, so
     # a short run draws few values it never uses
     ahead = _DRAW_AHEAD if config.variant is Variant.FSA else 0
     drawn, used = np.empty(0, dtype=np.int64), 0
-    frames: list[FrameObservation] = []
+    tallies: list[Tally] = []
     total_slots = 0
 
     while True:
         if used + tags > drawn.size:
             fresh = rng.integers(0, frame_length, size=tags + min(ahead, drawn.size))
-            drawn, used = np.concatenate((drawn[used:], fresh)), 0
-        obs = _tally(drawn[used : used + tags], frame_length, config.mpr)
+            if used < drawn.size:
+                fresh = np.concatenate((drawn[used:], fresh))
+            drawn, used = fresh, 0
+        tally = _tally(drawn[used : used + tags], frame_length, config.mpr)
+        tallies.append(tally)
+        _, _, _, collided, identified = tally
         used += tags
-        tags -= obs.identified
+        tags -= identified
         total_slots += frame_length
-        frames.append(obs)
 
-        if config.variant is Variant.DFSA and obs.C > 0:
-            n_hat = map_estimate(obs, config.mpr).n_hat
-            frame_length = next_frame_length(n_hat, obs.identified, config.mpr).length
-
-        if obs.C == 0:
-            return InterrogationResult(frames=frames, total_slots=total_slots)
-        if len(frames) >= FRAME_SAFETY_CAP:
+        if collided == 0:
+            return InterrogationResult(tallies=tallies, total_slots=total_slots)
+        if config.variant is Variant.DFSA:
+            n_hat = map_estimate(FrameObservation(*tally), config.mpr).n_hat
+            frame_length = next_frame_length(n_hat, identified, config.mpr).length
+        if len(tallies) >= FRAME_SAFETY_CAP:
             raise NonTerminationError(
                 f"interrogation exceeded {FRAME_SAFETY_CAP} frames "
                 f"(n={config.n}, M={config.mpr.M}, L0={config.initial_frame_length}, "

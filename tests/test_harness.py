@@ -10,6 +10,7 @@ import dfsa_mpr.harness as harness
 import dfsa_mpr.prob_model as prob_model
 import dfsa_mpr.protocol as protocol
 from dfsa_mpr.cli import main
+from dfsa_mpr.estimator import FrameObservation
 from dfsa_mpr.harness import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -157,6 +158,36 @@ class TestRunExperiment:
         )
         metrics = next(iter(table.values()))
         assert metrics.est_err_pct_mean < 1.0
+
+    @pytest.mark.parametrize("variant", [Variant.FSA, Variant.DFSA])
+    def test_records_are_built_for_first_frames_and_estimates_only(self, monkeypatch, variant):
+        # a trial builds one record per collided DFSA frame, for the estimator,
+        # then one for its first frame; no other frame builds one
+        spec = small_spec(tag_counts=[300], mpr_orders=[2], variants=[variant], trials=8)
+        key = spec.cells()[0]
+        _, n, m, l0 = key
+        config = protocol.ProtocolConfig(
+            n=n, mpr=MprOrder(m), initial_frame_length=l0, variant=variant
+        )
+        expected = []
+        for trial in range(spec.trials):
+            rng = harness._trial_rng(spec.master_seed, key, trial)
+            tallies = protocol.run_interrogation(config, rng).tallies
+            assert len(tallies) > 1
+            if variant is Variant.DFSA:
+                expected += [tally for tally in tallies if tally[3] > 0]
+            expected.append(tallies[0])
+
+        built = []
+        check = FrameObservation.__post_init__
+
+        def spy(obs):
+            built.append((obs.L, obs.E, obs.S, obs.C, obs.identified))
+            check(obs)
+
+        monkeypatch.setattr(FrameObservation, "__post_init__", spy)
+        run_experiment(spec)
+        assert built == expected
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_progress_notes_first_frame_estimates_at_the_cap(self, capsys, parallel):

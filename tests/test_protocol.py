@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dfsa_mpr.protocol as protocol
 from conftest import binomial_occupancy
 from dfsa_mpr.estimator import FrameObservation, map_estimate
+from dfsa_mpr.frame_optimizer import next_frame_length
 from dfsa_mpr.prob_model import MprOrder
 from dfsa_mpr.protocol import (
     NonTerminationError,
@@ -114,18 +115,22 @@ def test_occupancy_tally_matches_the_mask_tally(frame, numpy_ints):
     expected = _mask_tally(slots, L, M)
     if numpy_ints:
         L, M = np.int64(L), np.int64(M)
-    assert _tally(slots, L, MprOrder(M)) == expected
+    assert FrameObservation(*_tally(slots, L, MprOrder(M))) == expected
 
 
 def _frame_by_frame(config, rng):
-    """The FSA run as one ``run_frame`` draw per frame."""
-    frames, tags = [], config.n
+    """The run as one ``run_frame`` draw per frame; after a collided frame,
+    DFSA sizes the next one from the frame's MAP estimate."""
+    frames, tags, L = [], config.n, config.initial_frame_length
     while True:
-        obs = run_frame(tags, config.initial_frame_length, config.mpr, rng)
+        obs = run_frame(tags, L, config.mpr, rng)
         frames.append(obs)
         tags -= obs.identified
         if obs.C == 0:
             return frames
+        if config.variant is Variant.DFSA:
+            n_hat = map_estimate(obs, config.mpr).n_hat
+            L = next_frame_length(n_hat, obs.identified, config.mpr).length
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -139,6 +144,31 @@ def test_fsa_block_draws_give_the_per_frame_stream(L0, n, M):
         result = run_interrogation(config, np.random.default_rng(seed))
         assert result.frames == expected
         assert result.total_slots == L0 * len(expected)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("L0,n", [(16, 0), (1, 1), (3, 12), (128, 350), (128, 1000), (16, 300)])
+def test_dfsa_trajectory_is_the_frame_by_frame_one(L0, n, M):
+    config = ProtocolConfig(n=n, mpr=MprOrder(M), initial_frame_length=L0)
+    for seed in (0, 1):
+        expected = _frame_by_frame(config, np.random.default_rng(seed))
+        result = run_interrogation(config, np.random.default_rng(seed))
+        assert result.frames == expected
+        assert result.tallies == [(f.L, f.E, f.S, f.C, f.identified) for f in expected]
+        assert all(type(v) is int for tally in result.tallies for v in tally)
+        assert result.total_slots == sum(f.L for f in expected)
+
+
+@pytest.mark.parametrize("variant", [Variant.FSA, Variant.DFSA])
+def test_numpy_integer_config_gives_python_int_tallies(variant):
+    def run(n, M, L0):
+        config = ProtocolConfig(n=n, mpr=MprOrder(M), initial_frame_length=L0, variant=variant)
+        return run_interrogation(config, np.random.default_rng(5))
+
+    result = run(np.int64(300), np.int64(2), np.int64(64))
+    assert result == run(300, 2, 64)
+    assert all(type(v) is int for tally in result.tallies for v in tally)
+    assert type(result.total_slots) is int
 
 
 def test_no_tags_terminates_immediately():
