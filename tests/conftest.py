@@ -14,9 +14,11 @@ from dfsa_mpr import estimator, prob_model
 
 @pytest.fixture
 def kernel_orders(monkeypatch):
-    """Empties the estimator's memo, then records the M of every request for
-    the kernel's per-M constants, the first O(M) work of a kernel call."""
+    """Empties the estimator's memo and kept kernel rows, then records the M
+    of every request for the kernel's per-M constants, the first O(M) work
+    of a kernel call."""
     estimator._memo.clear()
+    estimator._runs.clear()
     orders = []
     constants = prob_model._kernel_constants
 

@@ -47,6 +47,28 @@ def test_wall_times_are_the_median_of_repeated_runs(monkeypatch):
                                     "exit_codes": [0, 0, 0], "summary": "548 passed"}
 
 
+def test_perfbench_metrics_are_the_median_of_repeated_runs(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 20}')
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    results = iter([(3.0, True, 0), (1.0, True, 0), (2.0, False, 1)])
+    argvs = []
+
+    def run(argv):
+        argvs.append(argv[1:])
+        value, correct, failed = next(results)
+        line = json.dumps({"correct": correct, "attempted": 10, "failed": failed, "metrics": {
+            "dfsa_sweep/items_per_s": {"value": value, "unit": "1/s"}}})
+        return 9.0, subprocess.CompletedProcess(argv, 0, f"== dfsa_sweep\n{line}\n", "")
+
+    monkeypatch.setattr(bench_record, "_run", run)
+    assert bench_record.perfbench() == {
+        "seed": 1, "seconds": 20, "correct": False, "attempted": 30, "failed": 1,
+        "metrics": {"dfsa_sweep/items_per_s": {"value": 2.0, "unit": "1/s",
+                                               "runs": [3.0, 1.0, 2.0]}}}
+    assert argvs == [["perfbench/run.py", "--workload", "all", "--seed", "1",
+                      "--seconds", "20", "--trace", "0"]] * 3
+
+
 def test_sweep_whose_bytes_differ_between_runs_is_refused(monkeypatch):
     _fake_sweeps(monkeypatch, ["a,b\n", "a,b\n", "a,c\n"])
     with pytest.raises(SystemExit, match="different bytes"):

@@ -52,6 +52,7 @@ def test_estimate_prefers_exact_count_without_collisions(capsys):
 def test_estimate_without_collisions_evaluates_no_posterior(monkeypatch, capsys):
     # the count printed is `identified`, so a MAP search would be thrown away
     estimator._memo.clear()
+    estimator._runs.clear()
     calls = []
     monkeypatch.setattr(estimator, "log_slot_probabilities", lambda *args: calls.append(args))
     argv = ["estimate", "--L", "10", "--E", "7", "--S", "3", "--C", "0", "--M", "1000000",

@@ -18,8 +18,8 @@ from dfsa_mpr.estimator import (
     population_estimates,
     posterior_curve,
 )
-from dfsa_mpr.harness import _trial_rng
-from dfsa_mpr.prob_model import MprOrder
+from dfsa_mpr.harness import _run_cell, _trial_rng
+from dfsa_mpr.prob_model import MprOrder, log_slot_probabilities
 from dfsa_mpr.protocol import run_frame
 
 # the worked example frame: 10 slots, 1 empty, 3 successful, 6 collided
@@ -28,9 +28,10 @@ EXAMPLE = FrameObservation(L=10, E=1, S=3, C=6, identified=3)
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Empties the memo, then records the number of loads of each kernel call
-    the estimator makes."""
+    """Empties the memo and the kept kernel rows, then records the loads of
+    each kernel call the estimator makes."""
     estimator._memo.clear()
+    estimator._runs.clear()
     calls = []
     kernel = estimator.log_slot_probabilities
 
@@ -382,6 +383,7 @@ class TestWindowSearch:
             assert kernel_calls == loads
         assert [e.n_hat for e in estimates] == [30, 520]
         estimator._memo.clear()
+        estimator._runs.clear()
         del kernel_calls[:]
         assert population_estimates(frames, mpr) == estimates
         assert kernel_calls == [2 * 64, 256, 64, 25]
@@ -394,6 +396,7 @@ class TestWindowSearch:
         loads = list(kernel_calls)
         assert loads[:3] == [64, 256, 64] and max(loads) <= 256
         estimator._memo.clear()
+        estimator._runs.clear()
         del kernel_calls[:]
         assert [e.n_hat for e in population_estimates([obs], mpr)] == [n_hat]
         assert kernel_calls == loads
@@ -423,6 +426,7 @@ class TestWindowSearch:
         monkeypatch.setattr(prob_model, "KERNEL_M_MAX", 3)
         assert map_estimate(EXAMPLE, MprOrder(3)).n_hat == 39
         estimator._memo.clear()
+        estimator._runs.clear()
         del kernel_calls[:]
         with pytest.raises(ValueError, match="MPR order 4 exceeds 3,"):
             map_estimate(EXAMPLE, MprOrder(4))
@@ -480,6 +484,7 @@ class TestMemo:
 
         for estimate in (one_by_one, batched):
             estimator._memo.clear()
+            estimator._runs.clear()
             estimates = estimate()
             n_hats = [e.n_hat for e in estimates]
             assert len(estimator._memo) == 3
@@ -506,9 +511,154 @@ class TestMemo:
         cold = []
         for obs, mpr in frames:
             estimator._memo.clear()
+            estimator._runs.clear()
             cold.append(map_estimate(obs, mpr))
         warm = [map_estimate(obs, mpr) for obs, mpr in frames * 2]
         assert warm == cold * 2
+
+
+def _same_bits(rows, expected):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(rows, expected, strict=True))
+
+
+_window_rows = estimator._window_rows
+
+
+def _checked_window_rows(ks, L, M, first):
+    """``_window_rows``, checked bit for bit against a kernel call at the
+    same candidates, with the runs checked after it."""
+    rows = _window_rows(ks, L, M, first)
+    assert _same_bits(rows, log_slot_probabilities(ks / L, M))
+    held = 0
+    for (L, M), run in estimator._runs.items():
+        if run is None:
+            held += estimator._MARK_SIZE
+            continue
+        k0, log_s, log_c = run
+        held += log_s.size
+        assert _same_bits((log_s, log_c), log_slot_probabilities(
+            np.arange(k0, k0 + log_s.size) / L, M)[1:])
+    assert estimator._runs.size == held <= estimator._RUN_SIZE
+    return rows
+
+
+@st.composite
+def windows_on_shared_lengths(draw):
+    """Up to 12 windows of consecutive candidates on at most three (L, M),
+    L <= 512 and M in 1..4, each a search's first window or a later one, as
+    (L, M, lo, size, first). A window starts anywhere in [0, 600], or next to
+    an earlier window on its (L, M): inside it, overlapping it, touching it
+    or just missing it."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 512), st.integers(1, 4)),
+                         min_size=1, max_size=3, unique=True))
+    windows = []
+    for _ in range(draw(st.integers(1, 12))):
+        L, M = draw(st.sampled_from(keys))
+        size = draw(st.integers(1, 64) | st.sampled_from([255, 256]))
+        near = [lo + shift for L_, M_, lo, n, _ in windows if (L_, M_) == (L, M)
+                for shift in (-size - 1, -size, 1 - size, 0, 1, n - 1, n, n + 1)]
+        lo = draw(st.integers(0, 600) | st.sampled_from(near or [0]))
+        windows.append((L, M, max(lo, 0), size, draw(st.booleans())))
+    return windows
+
+
+class TestRuns:
+    def test_full_runs_are_emptied(self, monkeypatch):
+        assert estimator._WINDOWS[-1] < estimator._RUN_SIZE < 10**6
+        # with room for 320 candidates: a run of 64 on L = 10 and one of 256
+        # on L = 11 fill the runs, each replacing its length's mark, and the
+        # next mark empties them
+        monkeypatch.setattr(estimator, "_RUN_SIZE", 320)
+        estimator._runs.clear()
+
+        def first(L, lo, size):
+            if (L, 2) not in estimator._runs:
+                estimator._mark(L, 2)
+            return _checked_window_rows(np.arange(lo, lo + size), L, 2, True)
+
+        estimator._mark(10, 2)
+        assert (estimator._runs, estimator._runs.size) == ({(10, 2): None}, estimator._MARK_SIZE)
+        first(10, 20, 64)
+        first(11, 5, 256)
+        assert estimator._runs.size == 320 and set(estimator._runs) == {(10, 2), (11, 2)}
+        estimator._mark(12, 2)
+        assert (estimator._runs, estimator._runs.size) == ({(12, 2): None}, estimator._MARK_SIZE)
+        # a join that would overfill the runs replaces its run instead
+        first(12, 0, 64)
+        first(13, 0, 256)
+        assert estimator._runs.size == 320
+        first(12, 60, 64)
+        assert estimator._runs.size == 320 and estimator._runs[12, 2][0] == 60
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(windows_on_shared_lengths(), st.integers(estimator._WINDOWS[-1], 1024))
+    def test_served_rows_are_the_kernels_and_the_runs_stay_bounded(self, windows, cap):
+        with mock.patch.object(estimator, "_RUN_SIZE", cap):
+            estimator._runs.clear()
+            for L, M, lo, size, first in windows:
+                # a length is marked after its first search, as map_estimate does
+                if (L, M) not in estimator._runs:
+                    estimator._mark(L, M)
+                    continue
+                _checked_window_rows(np.arange(lo, lo + size), L, M, first)
+
+    def test_a_dfsa_cell_reuses_kept_rows_and_an_fsa_cell_keeps_none(
+        self, kernel_calls, monkeypatch
+    ):
+        searches = []
+        search = estimator._window_search
+        monkeypatch.setattr(estimator, "_window_search",
+                            lambda lo, hi: searches.append(lo) or search(lo, hi))
+        # a DFSA run searches frames of lengths it has searched before
+        _run_cell((("dfsa", 600, 2, 128), 20, 1))
+        assert 0 < len(kernel_calls) < len(searches)
+        # an FSA cell searches its first frames in lockstep, one kernel call
+        # per round, as it did before rows were kept, and keeps none
+        estimator._memo.clear()
+        estimator._runs.clear()
+        del kernel_calls[:], searches[:]
+        _run_cell((("fsa", 600, 2, 128), 20, 1))
+        assert (len(kernel_calls), len(searches)) == (4, 20) and not estimator._runs
+
+
+@st.composite
+def frames_on_shared_lengths(draw):
+    """2 to 12 frames, in order, on at most three (L, M), L <= 512 and M in
+    1..4, none all collided. Most have about as many collided slots as the
+    others on their (L, M), so that their first windows overlap, and some
+    have none, so that their windows start near k = 0."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 512), st.integers(1, 4)),
+                         min_size=1, max_size=3, unique=True))
+    collided = {key: draw(st.integers(0, key[0] - 1)) for key in keys}
+    frames = []
+    for _ in range(draw(st.integers(2, 12))):
+        L, M = key = draw(st.sampled_from(keys))
+        c = collided[key]
+        C = draw(st.integers(max(0, c - 2), min(L - 1, c + 2)) | st.integers(0, L - 1))
+        S = draw(st.integers(0, L - C))
+        frames.append((FrameObservation(L, L - S - C, S, C, draw(st.integers(S, S * M))),
+                       MprOrder(M)))
+    return frames
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(frames_on_shared_lengths(), st.sampled_from([estimator._WINDOWS[-1], 1024, 2**16]))
+def test_kept_rows_change_no_estimate(frames, cap):
+    # each frame alone with both caches empty, then all in order with only
+    # the memo emptied, so that each search meets the rows the others kept
+    cold = []
+    for obs, mpr in frames:
+        estimator._memo.clear()
+        estimator._runs.clear()
+        cold.append(map_estimate(obs, mpr))
+    estimator._runs.clear()
+    warm = []
+    with mock.patch.object(estimator, "_window_rows", _checked_window_rows), \
+            mock.patch.object(estimator, "_RUN_SIZE", cap):
+        for obs, mpr in frames:
+            estimator._memo.clear()
+            warm.append(map_estimate(obs, mpr))
+    assert warm == cold
 
 
 class TestPosteriorCurve:
@@ -601,15 +751,18 @@ class TestPopulationEstimate:
         windows = []
         for obs in searched:
             estimator._memo.clear()
+            estimator._runs.clear()
             del kernel_calls[:]
             map_estimate(obs, mpr)
             windows.append(len(kernel_calls))
         estimator._memo.clear()
+        estimator._runs.clear()
         del kernel_calls[:]
         n_hats = population_estimates(frames, mpr)
         assert len(kernel_calls) == max(windows) > 1
         # a DFSA run has already estimated its first frame: the batch searches nothing
         estimator._memo.clear()
+        estimator._runs.clear()
         for obs in frames:
             map_estimate(obs, mpr)
         del kernel_calls[:]

@@ -8,16 +8,19 @@ It measures the checkout that holds this script, one step after another,
 and writes the file at the root of that checkout:
 
 - ``perfbench/run.py --workload all --trace 0`` at seed 1, for the run
-  length that BENCHMARK.json sets; its JSON result line is kept whole;
+  length that BENCHMARK.json sets: each end-to-end metric of its JSON
+  result line, whether every run was correct, and the operations attempted
+  and failed in all runs;
 - the wall time of the tier-1 suite, with its exit codes and last summary line;
 - the wall time of ``dfsa-mpr simulate`` on configs/paper_sweep.yaml
   (80 cells x 500 trials) at ``--parallel 1`` and at ``--parallel`` nproc,
   with the SHA-256 of each output;
 - the git revision, the Python and numpy versions, the platform and nproc.
 
-Tier-1 and each sweep run ``REPEATS`` times, since one run moves with the
-host's phase: a wall time is the median of its runs, and every run's time
-is kept beside it. A sweep whose bytes differ between runs stops the record.
+Perfbench, tier-1 and each sweep run ``REPEATS`` times, since one run moves
+with the host's phase: a metric or wall time is the median of its runs, and
+every run's value is kept beside it. A sweep whose bytes differ between runs
+stops the record.
 
 To record another revision with the same script, copy it into a checkout
 of that revision and run it there. Compare two files only when they were
@@ -67,10 +70,19 @@ def _walls(walls: list[float]) -> dict:
 
 def perfbench() -> dict:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    _, proc = _run([sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-                    "--seconds", str(seconds), "--trace", "0"])
-    _require_success(proc, "perfbench")
-    return {"seed": SEED, "seconds": seconds, **json.loads(proc.stdout.strip().splitlines()[-1])}
+    runs = []
+    for _ in range(REPEATS):
+        _, proc = _run([sys.executable, "perfbench/run.py", "--workload", "all", "--seed",
+                        str(SEED), "--seconds", str(seconds), "--trace", "0"])
+        _require_success(proc, "perfbench")
+        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    metrics = {}
+    for name, metric in runs[0]["metrics"].items():
+        values = [run["metrics"][name]["value"] for run in runs]
+        metrics[name] = {"value": statistics.median(values), "unit": metric["unit"], "runs": values}
+    return {"seed": SEED, "seconds": seconds, "correct": all(run["correct"] for run in runs),
+            "attempted": sum(run["attempted"] for run in runs),
+            "failed": sum(run["failed"] for run in runs), "metrics": metrics}
 
 
 def tier1() -> dict:
