@@ -99,10 +99,9 @@ always call the kernel. A length searched for the first time is searched as
 before, keeps no rows and is then only marked, since most lengths of a batch
 of unrelated frames are never searched again; its second search starts its
 run with its first window, and a first window that misses the run replaces
-it.
-The runs hold at most 65,536 candidates in all, a mark counting as 8, and
-are all emptied when full. A served value is the kernel's own, bit for bit:
-each kernel value depends on its own load only, a load k/L is the same
+it. The runs hold at most 65,536 candidates in all, a mark counting as 8,
+and are all emptied when full. A served value is the kernel's own, bit for
+bit: each kernel value depends on its own load only, a load k/L is the same
 float64 in any array, and the posterior is summed in the same order.
 """
 
