@@ -88,21 +88,22 @@ k_max), and emptied when full. ``identified`` enters the key only through
 k_min, and k_max follows from L and M. An all-collided frame needs no
 search and is not stored.
 
-Kernel rows are kept too, for ``map_estimate`` alone, since a DFSA run
-searches frames of the same length again and again. Each (L, M) keeps one
-run: the rows log p_s and log p_c over consecutive candidates (log p_e is
--k/L and is not kept). A window that lies inside the run is sliced from it
-with no kernel call. A window that overlaps or touches the run evaluates, in
-one kernel call, the candidates the run lacks (a search's first window) or
-the whole window (a later one), and joins them to the run; probe rounds
-always call the kernel. A length searched for the first time is searched as
-before, keeps no rows and is then only marked, since most lengths of a batch
-of unrelated frames are never searched again; its second search starts its
-run with its first window, and a first window that misses the run replaces
-it. The runs hold at most 65,536 candidates in all, a mark counting as 8,
-and are all emptied when full. A served value is the kernel's own, bit for
-bit: each kernel value depends on its own load only, a load k/L is the same
-float64 in any array, and the posterior is summed in the same order.
+Kernel rows are kept too, for the searches of a DFSA run alone
+(``map_estimate(..., keep_rows=True)``, as ``protocol`` calls it), since a
+run searches frames of the same length again and again while a batch of
+unrelated frames rarely does. Each (L, M) keeps one run: the rows log p_s
+and log p_c over consecutive candidates (log p_e is -k/L and is not kept).
+Each of a search's two windows from k_min that lies inside the run is
+sliced from it with no kernel call. One that overlaps or touches the run
+evaluates, in one kernel call, only the candidates the run lacks, and joins
+them to it; any other becomes the run of its (L, M) in place of the old
+one. The second window starts on the first one's last candidate, so it
+never misses the run. Probe rounds and the last window call the kernel as
+before. The runs hold at most 65,536 candidates in all, 16 bytes each, and
+are all emptied when full, like the memo. A served value is the kernel's
+own, bit for bit: each kernel value depends on its own load only, a load
+k/L is the same float64 in any array, and the posterior is summed in the
+same order.
 """
 
 from __future__ import annotations
@@ -137,19 +138,15 @@ _MemoKey = tuple[int, int, int, int, int, int, int]
 _MEMO_SIZE = 2**14
 _memo: dict[_MemoKey, int] = {}
 
-#: the most candidates whose kernel rows the runs hold together; full runs
-#: are all emptied before they take more
+#: the most candidates whose kernel rows the runs hold together, 16 bytes
+#: each; full runs are all emptied before they take more
 _RUN_SIZE = 2**16
-#: what a mark counts for in ``_RUN_SIZE``: about the memory it takes, in
-#: candidates (a dict entry and its key against 16 bytes a candidate)
-_MARK_SIZE = 8
 
 
 class _Runs(dict):
     """(L, M) -> (k0, log p_s, log p_c), the kernel's rows over the
-    consecutive candidates k0, k0 + 1, ..., or None, a mark that (L, M) was
-    searched once; ``size`` counts the candidates held, and ``_MARK_SIZE``
-    for each mark."""
+    consecutive candidates k0, k0 + 1, ...; ``size`` counts the candidates
+    held."""
 
     size = 0
 
@@ -229,20 +226,17 @@ def _log_posterior_array(
     return out
 
 
-def _window_rows(ks: np.ndarray, L: int, M: int, first: bool) -> tuple[np.ndarray, ...]:
+def _window_rows(ks: np.ndarray, L: int, M: int) -> tuple[np.ndarray, ...]:
     """The kernel's rows (log p_e, log p_s, log p_c) at the consecutive
-    candidates ``ks`` of a frame of L slots, served from, joined to or kept
-    in the run of (L, M) as the module docstring says; ``first`` says whether
-    ks is a search's first window. (L, M) must be marked or have a run.
-
-    A first window replaces the mark, or a run that it misses or could join
-    only by overfilling the runs, and one that would overfill them empties
-    them all first. A later window with no run to join is evaluated alone.
-    """
-    run = _runs[L, M]
-    if run:
+    candidates ``ks`` of a frame of L slots, served from the run of (L, M)
+    where ks lies inside it. Otherwise the kernel evaluates the candidates
+    that the run lacks and joins them to it, if ks overlaps or touches the
+    run, or evaluates ks and keeps it as the run in place of the old one.
+    Runs that a window would overfill are all emptied first."""
+    lo, n = int(ks[0]), ks.size
+    run = _runs.get((L, M))
+    if run is not None:
         k0, log_s, log_c = run
-        lo, n = int(ks[0]), ks.size
         held, i = log_s.size, lo - k0
         if 0 <= i <= held - n:
             # log p_e = -k/L, bit for bit: IEEE division is symmetric in sign
@@ -250,28 +244,21 @@ def _window_rows(ks: np.ndarray, L: int, M: int, first: bool) -> tuple[np.ndarra
         # the candidates the run lacks on its left and on its right
         left, right = max(0, -i), max(0, i + n - held)
         if -n <= i <= held and _runs.size + left + right <= _RUN_SIZE:
-            lacking = np.concatenate((ks[:left], ks[n - right:])) if first else ks
-            rows = log_slot_probabilities(lacking / L, M)
-            _, new_s, new_c = rows
-            cut = new_s.size - right
-            log_s = np.concatenate((new_s[:left], log_s, new_s[cut:]))
-            log_c = np.concatenate((new_c[:left], log_c, new_c[cut:]))
+            lacking = np.concatenate((ks[:left], ks[n - right:]))
+            _, new_s, new_c = log_slot_probabilities(lacking / L, M)
+            log_s = np.concatenate((new_s[:left], log_s, new_s[left:]))
+            log_c = np.concatenate((new_c[:left], log_c, new_c[left:]))
             _runs[L, M] = (min(lo, k0), log_s, log_c)
             _runs.size += left + right
-            if not first:
-                return rows
             i = max(i, 0)
             return ks / -L, log_s[i:i + n], log_c[i:i + n]
+        _runs.size -= held
     rows = log_slot_probabilities(ks / L, M)
-    if first:
-        # the window's rows replace the mark or the run
-        old = run[1].size if run else _MARK_SIZE
-        if _runs.size - old + ks.size > _RUN_SIZE:
-            _runs.clear()
-        else:
-            _runs.size -= old
-        _runs[L, M] = (int(ks[0]), *rows[1:])
-        _runs.size += ks.size
+    if _runs.size + n > _RUN_SIZE:
+        _runs.clear()
+    # copies, so that a run holds no row of log p_e
+    _runs[L, M] = (lo, rows[1].copy(), rows[2].copy())
+    _runs.size += n
     return rows
 
 
@@ -335,14 +322,6 @@ def _remember(key: _MemoKey, mode: int) -> None:
     _memo[key] = mode
 
 
-def _mark(L: int, M: int) -> None:
-    """Marks (L, M) as searched once, with no rows kept."""
-    if _runs.size + _MARK_SIZE > _RUN_SIZE:
-        _runs.clear()
-    _runs[L, M] = None
-    _runs.size += _MARK_SIZE
-
-
 def _search_rows(keys: list[_MemoKey]) -> list[int]:
     """The searches of at most ``_BATCH_ROWS`` keys of one M in lockstep: each
     round evaluates every unresolved key's candidates in one kernel call.
@@ -381,13 +360,14 @@ def _search_rows(keys: list[_MemoKey]) -> list[int]:
     return modes
 
 
-def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
+def map_estimate(obs: FrameObservation, mpr: MprOrder, *, keep_rows: bool = False) -> MapEstimate:
     """Integer argmax of the posterior over [k_min, 10*L*M]; ties go to the smaller k.
 
     An all-collided frame gives the cap itself, and the estimate is
     ``saturated``. Answers are remembered in the memo that
-    ``population_estimates`` shares, keyed on the tallies, M and k_min, and
-    windows are served from the kernel rows kept for (L, M) where they can be.
+    ``population_estimates`` shares, keyed on the tallies, M and k_min. With
+    ``keep_rows``, windows are served from and kept in the kernel rows of
+    (L, M), which pays where lengths repeat, as in a DFSA run.
     Any other frame whose cap 10*L*M exceeds 2**63 - 1 raises ValueError,
     and so does the kernel at an M past ``KERNEL_M_MAX``.
     """
@@ -398,18 +378,13 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
         search = _window_search(k_min, k_max)
         ks = next(search)
         try:
-            if (L, M) in _runs:
-                rows = _window_rows(ks, L, M, True)
-                while True:
-                    ks = search.send(_log_posterior_array(ks, L, E, S, C, M, rows))
-                    # a window, unless a probe round's pairs
-                    rows = _window_rows(ks, L, M, False) if ks[-1] - ks[0] == ks.size - 1 else ()
-            while True:  # a length searched for the first time
+            if keep_rows:
+                for _ in _WINDOWS:  # the windows of consecutive candidates from k_min
+                    ks = search.send(_log_posterior_array(ks, L, E, S, C, M, _window_rows(ks, L, M)))
+            while True:
                 ks = search.send(_log_posterior_array(ks, L, E, S, C, M))
         except StopIteration as done:
             n_hat = done.value
-        if (L, M) not in _runs:
-            _mark(L, M)
         _remember(key, n_hat)
     return MapEstimate(n_hat, k_min, k_max)
 

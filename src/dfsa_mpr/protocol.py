@@ -142,7 +142,7 @@ def run_interrogation(config: ProtocolConfig, rng: np.random.Generator) -> Inter
         if collided == 0:
             return InterrogationResult(tallies=tallies, total_slots=total_slots)
         if config.variant is Variant.DFSA:
-            n_hat = map_estimate(FrameObservation(*tally), config.mpr).n_hat
+            n_hat = map_estimate(FrameObservation(*tally), config.mpr, keep_rows=True).n_hat
             frame_length = next_frame_length(n_hat, identified, config.mpr).length
         if len(tallies) >= FRAME_SAFETY_CAP:
             raise NonTerminationError(

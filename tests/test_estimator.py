@@ -524,18 +524,16 @@ def _same_bits(rows, expected):
 _window_rows = estimator._window_rows
 
 
-def _checked_window_rows(ks, L, M, first):
+def _checked_window_rows(ks, L, M):
     """``_window_rows``, checked bit for bit against a kernel call at the
     same candidates, with the runs checked after it."""
-    rows = _window_rows(ks, L, M, first)
+    rows = _window_rows(ks, L, M)
     assert _same_bits(rows, log_slot_probabilities(ks / L, M))
     held = 0
-    for (L, M), run in estimator._runs.items():
-        if run is None:
-            held += estimator._MARK_SIZE
-            continue
-        k0, log_s, log_c = run
+    for (L, M), (k0, log_s, log_c) in estimator._runs.items():
         held += log_s.size
+        # a run owns its rows, and holds no row of log p_e
+        assert log_s.base is None and log_c.base is None
         assert _same_bits((log_s, log_c), log_slot_probabilities(
             np.arange(k0, k0 + log_s.size) / L, M)[1:])
     assert estimator._runs.size == held <= estimator._RUN_SIZE
@@ -545,49 +543,61 @@ def _checked_window_rows(ks, L, M, first):
 @st.composite
 def windows_on_shared_lengths(draw):
     """Up to 12 windows of consecutive candidates on at most three (L, M),
-    L <= 512 and M in 1..4, each a search's first window or a later one, as
-    (L, M, lo, size, first). A window starts anywhere in [0, 600], or next to
-    an earlier window on its (L, M): inside it, overlapping it, touching it
-    or just missing it."""
+    L <= 512 and M in 1..4, as (L, M, lo, size). A window starts anywhere in
+    [0, 600], or next to an earlier window on its (L, M): inside it,
+    overlapping it, touching it or just missing it."""
     keys = draw(st.lists(st.tuples(st.integers(1, 512), st.integers(1, 4)),
                          min_size=1, max_size=3, unique=True))
     windows = []
     for _ in range(draw(st.integers(1, 12))):
         L, M = draw(st.sampled_from(keys))
         size = draw(st.integers(1, 64) | st.sampled_from([255, 256]))
-        near = [lo + shift for L_, M_, lo, n, _ in windows if (L_, M_) == (L, M)
+        near = [lo + shift for L_, M_, lo, n in windows if (L_, M_) == (L, M)
                 for shift in (-size - 1, -size, 1 - size, 0, 1, n - 1, n, n + 1)]
         lo = draw(st.integers(0, 600) | st.sampled_from(near or [0]))
-        windows.append((L, M, max(lo, 0), size, draw(st.booleans())))
+        windows.append((L, M, max(lo, 0), size))
     return windows
 
 
 class TestRuns:
+    def test_windows_are_served_joined_or_kept(self, kernel_calls):
+        def rows(lo, size):
+            del kernel_calls[:]
+            _checked_window_rows(np.arange(lo, lo + size), 10, 2)
+            k0, log_s, _ = estimator._runs[10, 2]
+            return kernel_calls, (k0, log_s.size)
+
+        assert rows(20, 64) == ([64], (20, 64))
+        # inside the run: no kernel call
+        assert rows(30, 40) == ([], (20, 64))
+        # overlapping or touching it: only the candidates it lacks
+        assert rows(4, 20) == ([16], (4, 80))
+        assert rows(84, 16) == ([16], (4, 96))
+        assert rows(0, 110) == ([4 + 10], (0, 110))
+        # missing it: a new run in its place
+        assert rows(111, 8) == ([8], (111, 8))
+        assert estimator._runs.size == 8
+
     def test_full_runs_are_emptied(self, monkeypatch):
         assert estimator._WINDOWS[-1] < estimator._RUN_SIZE < 10**6
         # with room for 320 candidates: a run of 64 on L = 10 and one of 256
-        # on L = 11 fill the runs, each replacing its length's mark, and the
-        # next mark empties them
+        # on L = 11 fill the runs, and the next window on a new length
+        # empties them
         monkeypatch.setattr(estimator, "_RUN_SIZE", 320)
         estimator._runs.clear()
 
-        def first(L, lo, size):
-            if (L, 2) not in estimator._runs:
-                estimator._mark(L, 2)
-            return _checked_window_rows(np.arange(lo, lo + size), L, 2, True)
+        def window(L, lo, size):
+            return _checked_window_rows(np.arange(lo, lo + size), L, 2)
 
-        estimator._mark(10, 2)
-        assert (estimator._runs, estimator._runs.size) == ({(10, 2): None}, estimator._MARK_SIZE)
-        first(10, 20, 64)
-        first(11, 5, 256)
+        window(10, 20, 64)
+        window(11, 5, 256)
         assert estimator._runs.size == 320 and set(estimator._runs) == {(10, 2), (11, 2)}
-        estimator._mark(12, 2)
-        assert (estimator._runs, estimator._runs.size) == ({(12, 2): None}, estimator._MARK_SIZE)
+        window(12, 0, 64)
+        assert (set(estimator._runs), estimator._runs.size) == ({(12, 2)}, 64)
         # a join that would overfill the runs replaces its run instead
-        first(12, 0, 64)
-        first(13, 0, 256)
+        window(13, 0, 256)
         assert estimator._runs.size == 320
-        first(12, 60, 64)
+        window(12, 60, 64)
         assert estimator._runs.size == 320 and estimator._runs[12, 2][0] == 60
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -595,14 +605,10 @@ class TestRuns:
     def test_served_rows_are_the_kernels_and_the_runs_stay_bounded(self, windows, cap):
         with mock.patch.object(estimator, "_RUN_SIZE", cap):
             estimator._runs.clear()
-            for L, M, lo, size, first in windows:
-                # a length is marked after its first search, as map_estimate does
-                if (L, M) not in estimator._runs:
-                    estimator._mark(L, M)
-                    continue
-                _checked_window_rows(np.arange(lo, lo + size), L, M, first)
+            for L, M, lo, size in windows:
+                _checked_window_rows(np.arange(lo, lo + size), L, M)
 
-    def test_a_dfsa_cell_reuses_kept_rows_and_an_fsa_cell_keeps_none(
+    def test_a_dfsa_cell_reuses_kept_rows_and_other_callers_keep_none(
         self, kernel_calls, monkeypatch
     ):
         searches = []
@@ -619,6 +625,9 @@ class TestRuns:
         del kernel_calls[:], searches[:]
         _run_cell((("fsa", 600, 2, 128), 20, 1))
         assert (len(kernel_calls), len(searches)) == (4, 20) and not estimator._runs
+        # nor does a direct call
+        map_estimate(EXAMPLE, MprOrder(2))
+        assert len(kernel_calls) == 5 and not estimator._runs
 
 
 @st.composite
@@ -644,8 +653,9 @@ def frames_on_shared_lengths(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(frames_on_shared_lengths(), st.sampled_from([estimator._WINDOWS[-1], 1024, 2**16]))
 def test_kept_rows_change_no_estimate(frames, cap):
-    # each frame alone with both caches empty, then all in order with only
-    # the memo emptied, so that each search meets the rows the others kept
+    # each frame alone with both caches empty, then all in order keeping
+    # rows, with only the memo emptied, so that each search meets the rows
+    # the others kept
     cold = []
     for obs, mpr in frames:
         estimator._memo.clear()
@@ -657,7 +667,7 @@ def test_kept_rows_change_no_estimate(frames, cap):
             mock.patch.object(estimator, "_RUN_SIZE", cap):
         for obs, mpr in frames:
             estimator._memo.clear()
-            warm.append(map_estimate(obs, mpr))
+            warm.append(map_estimate(obs, mpr, keep_rows=True))
     assert warm == cold
 
 

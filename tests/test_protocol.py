@@ -231,8 +231,10 @@ def _spy_on_map_estimate(monkeypatch) -> list[tuple[FrameObservation, int]]:
     """Record each frame the protocol estimates, with the n_hat it got."""
     calls = []
 
-    def spy(obs, mpr):
-        estimate = map_estimate(obs, mpr)
+    def spy(obs, mpr, **kwargs):
+        # a DFSA run asks the estimator to keep kernel rows
+        assert kwargs == {"keep_rows": True}
+        estimate = map_estimate(obs, mpr, **kwargs)
         calls.append((obs, estimate.n_hat))
         return estimate
 
