@@ -8,24 +8,27 @@ line on stderr (after the usage line, for argparse errors), never a
 traceback. ``simulate`` checks its spec and opens its output file before the
 sweep; a cell that does not terminate leaves out its row, every other row is
 written, and each such cell gets its own ``dfsa-mpr`` line before the exit 2.
-``estimate`` writes its curve file before it prints. Progress goes to
-stderr; data to the file or stdout.
+``estimate`` writes its curve file before it prints. A curve or table is
+checked, and its first chunk built, before its file is opened; its lines are
+then written as they are built, so it holds one chunk of rows at a time.
+Progress goes to stderr; data to the file or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 import yaml
 
 from .estimator import FrameObservation, population_estimates, posterior_curve
 from .harness import (
     ExperimentSpec,
-    csv_text,
-    efficiency_curve,
-    optimal_length_table,
+    csv_lines,
+    efficiency_curve_lines,
+    optimal_length_lines,
     render_csv,
     render_json,
     run_experiment,
@@ -136,14 +139,21 @@ def _load_spec(args) -> ExperimentSpec:
         raise ValueError(f"bad config: {exc}") from exc
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    """Write ``text`` to ``path`` or stdout; OSError -> ValueError("cannot write output: ...")."""
+#: lines joined into one write, since a write per line costs more than the join
+_LINES_PER_WRITE = 4096
+
+
+def _write(lines: Iterable[str], path: Optional[str]) -> None:
+    """Write ``lines`` to ``path`` or stdout as they come, in batches of
+    ``_LINES_PER_WRITE``; OSError -> ValueError("cannot write output: ...")."""
+    lines = iter(lines)
+    batches = iter(lambda: "".join(islice(lines, _LINES_PER_WRITE)), "")
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(batches)
         return
     try:
         with open(path, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(batches)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from exc
 
@@ -152,27 +162,27 @@ def _cmd_simulate(args) -> None:
     spec = _load_spec(args)
     # create the output file now, so that a path that cannot be written fails
     # before the sweep rather than after it
-    _write("", args.out)
+    _write([], args.out)
     render = render_csv if args.format == "csv" else render_json
     try:
         table = run_experiment(spec, parallel=args.parallel, progress=True)
     except NonTerminationError as exc:
         # the cells that finished are written before the failures are reported
-        _write(render(exc.table), args.out)
+        _write([render(exc.table)], args.out)
         raise
-    _write(render(table), args.out)
+    _write([render(table)], args.out)
 
 
 def _cmd_analyze(args) -> None:
     tag_counts = parse_int_list(args.tag_counts)
     mpr_orders = parse_int_list(args.mpr_orders)
     if args.optimal_length:
-        text = optimal_length_table(tag_counts, mpr_orders)
+        lines = optimal_length_lines(tag_counts, mpr_orders)
     elif len(tag_counts) != 1 or len(mpr_orders) != 1:
         raise ValueError("--efficiency-curve takes a single n and a single M")
     else:
-        text = efficiency_curve(tag_counts[0], MprOrder(mpr_orders[0]), args.max_length)
-    _write(text, args.out)
+        lines = efficiency_curve_lines(tag_counts[0], MprOrder(mpr_orders[0]), args.max_length)
+    _write(lines, args.out)
 
 
 def _cmd_estimate(args) -> None:
@@ -189,7 +199,7 @@ def _cmd_estimate(args) -> None:
             raise ValueError(f"curve k max {k_max} below lower bound {k_min}")
         # written before any output; a refused curve leaves no file
         curve = posterior_curve(obs, mpr, range(k_min, k_max + 1))
-        _write(csv_text(["k", "probability"], curve), args.curve_out)
+        _write(csv_lines(["k", "probability"], curve), args.curve_out)
     print(estimate.n_hat)
     if estimate.saturated:
         print(

@@ -110,11 +110,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Iterable, Optional
+from typing import Generator, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .prob_model import MprOrder, log_slot_probabilities, require_count, require_curve_budget
+from .prob_model import (
+    MprOrder,
+    curve_chunks,
+    log_slot_probabilities,
+    require_count,
+    require_curve_budget,
+)
 
 #: candidates in the two windows of the mode search, the second of them
 #: also the most candidates any round evaluates, and the probe pairs of a
@@ -415,13 +421,17 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
 
 def posterior_curve(
     obs: FrameObservation, mpr: MprOrder, k_range: range
-) -> list[tuple[int, float]]:
-    """Posterior over k_range, normalized to sum to 1 (plot data for the MAP curve).
+) -> Iterator[tuple[int, float]]:
+    """Posterior over k_range, normalized to sum to 1 (plot data for the MAP
+    curve), as an iterator of (k, probability) in the range's order.
 
     ``k_range`` must be a non-empty ``range`` of candidates >= 0, in either
     direction, within ``prob_model``'s budget of candidates times M; the
-    kernel refuses an M past ``KERNEL_M_MAX``. Exponentiation is
-    max-shifted for stability.
+    kernel refuses an M past ``KERNEL_M_MAX``. Every check, and all kernel
+    work, is done in the call: the kernel fills one float64 array of log
+    posteriors one chunk of candidates at a time, and the array is
+    max-shifted, exponentiated and summed in place. The pairs are then built
+    one chunk at a time as they are read.
     """
     _frame_key(obs, mpr)  # checks the decoded tags against M
     if not isinstance(k_range, range) or not k_range or min(k_range[0], k_range[-1]) < 0:
@@ -429,11 +439,27 @@ def posterior_curve(
     # len() of a range fails past sys.maxsize
     candidates = (k_range[-1] - k_range[0]) // k_range.step + 1
     require_curve_budget("a posterior curve", candidates, mpr.M)
-    ks = np.arange(k_range.start, k_range.stop, k_range.step)
-    logp = _log_posterior_array(ks, obs.L, obs.E, obs.S, obs.C, mpr.M)
-    peak = float(np.max(logp))
+    # the log posteriors, made the unnormalized weights in place below
+    weights = np.empty(candidates)
+    start = 0
+    for ks in curve_chunks(k_range):
+        weights[start:start + len(ks)] = _log_posterior_array(
+            np.arange(ks.start, ks.stop, ks.step), obs.L, obs.E, obs.S, obs.C, mpr.M
+        )
+        start += len(ks)
+    peak = float(np.max(weights))
     if peak == -math.inf:
         raise ValueError("posterior vanishes on the whole range")
-    weights = np.exp(logp - peak)
-    probs = weights / weights.sum()
-    return list(zip(ks.tolist(), probs.tolist()))
+    weights -= peak
+    np.exp(weights, out=weights)
+    return _curve_points(k_range, weights, weights.sum())
+
+
+def _curve_points(
+    k_range: range, weights: np.ndarray, total: float
+) -> Iterator[tuple[int, float]]:
+    """(k, weight / total) over k_range, one chunk of Python objects at a time."""
+    start = 0
+    for ks in curve_chunks(k_range):
+        yield from zip(ks, (weights[start:start + len(ks)] / total).tolist())
+        start += len(ks)

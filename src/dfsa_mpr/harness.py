@@ -18,14 +18,20 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields
-from itertools import zip_longest
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, zip_longest
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .estimator import FrameObservation, population_estimates
 from .frame_optimizer import optimal_frame_length
-from .prob_model import MprOrder, channel_efficiency, require_count, require_curve_budget
+from .prob_model import (
+    MprOrder,
+    channel_efficiency,
+    curve_chunks,
+    require_count,
+    require_curve_budget,
+)
 from .protocol import NonTerminationError, ProtocolConfig, Variant, run_interrogation
 
 #: cell key: (variant value, n, M, L0)
@@ -156,8 +162,13 @@ def run_experiment(
     jobs = [(key, int(spec.trials), spec.master_seed) for key in cells]
     results: dict[CellKey, AggregateMetrics] = {}
     failures = []
-    # no more workers than cells or CPUs; with one, the cells run in this process
-    workers = min(parallel, len(cells), os.cpu_count() or 1)
+    # no more workers than cells or the CPUs this process may run on; with
+    # one, the cells run in this process
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(parallel, len(cells), cpus)
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # both maps yield in job order, so the rows stay sorted
         cell_map = pool.map if pool else map
@@ -183,13 +194,25 @@ def _rows(table: Mapping[CellKey, AggregateMetrics]) -> list[tuple]:
     return [(*key, *astuple(table[key])) for key in sorted(table)]
 
 
-def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text: a header line of ``columns``, then one line per row. A float
-    is written to 6 significant digits (``.6g``), any other value with ``str``."""
-    lines = [",".join(columns)]
+def csv_lines(columns: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """CSV lines, each ending in a newline: a header line of ``columns``, then
+    one line per row, as the rows are read. A float is written to 6
+    significant digits (``.6g``), any other value with ``str``."""
+    yield ",".join(columns) + "\n"
+    # one format string per sequence of value types, so a row is one format call
+    formats: dict[tuple, str] = {}
     for row in rows:
-        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        types = tuple(map(type, row))
+        line = formats.get(types)
+        if line is None:
+            line = formats[types] = ",".join(
+                "{:.6g}" if issubclass(t, float) else "{!s}" for t in types) + "\n"
+        yield line.format(*row)
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The text of ``csv_lines``."""
+    return "".join(csv_lines(columns, rows))
 
 
 def render_csv(table: Mapping[CellKey, AggregateMetrics]) -> str:
@@ -209,31 +232,66 @@ def render_json(table: Mapping[CellKey, AggregateMetrics]) -> str:
     return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
-def optimal_length_table(tag_counts: list[int], mpr_orders: list[int]) -> str:
-    """CSV table of the optimal frame length and its efficiency over an (n, M) grid."""
+def _chunked_rows(values: Sequence, rows_of: Callable[[Sequence], Iterable]) -> Iterator:
+    """The rows ``rows_of(chunk)`` over each chunk of ``values`` in turn. The
+    first chunk is built in the call, so a refusal that every chunk would meet
+    (the kernel's bound on M) raises before any line is written."""
+    chunks = map(rows_of, curve_chunks(values))
+    return chain(next(chunks, []), chain.from_iterable(chunks))
+
+
+def optimal_length_lines(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -> Iterator[str]:
+    """CSV lines of the optimal frame length and its efficiency over an (n, M)
+    grid, built one chunk of tag counts at a time; every argument is checked
+    in the call."""
     mprs = [MprOrder(m) for m in mpr_orders]
     # every row priced at the largest M, which bounds the table's kernel work
     require_curve_budget("an optimal-length table", len(tag_counts) * len(mprs),
                          max((mpr.M for mpr in mprs), default=0))
-    columns = []
-    for mpr in mprs:
-        plans = [optimal_frame_length(n, mpr) for n in tag_counts]
-        loads = [n / plan.length for n, plan in zip(tag_counts, plans)]
-        column = zip(tag_counts, plans, channel_efficiency(loads, mpr.M).tolist())
-        columns.append([(n, mpr.M, plan.raw_optimum, plan.length, eff) for n, plan, eff in column])
-    # rows run over n, and over M within each n
-    rows = [row for same_n in zip(*columns) for row in same_n]
-    return csv_text(["n", "M", "raw_optimum", "length", "efficiency"], rows)
+    for n in tag_counts:
+        require_count("tag count", n, 0)
+    if len(tag_counts) and mprs:
+        optimal_frame_length(max(tag_counts), mprs[0])  # a count too large for a float
+
+    def rows_of(chunk: Sequence[int]) -> list[tuple]:
+        columns = []
+        for mpr in mprs:
+            plans = [optimal_frame_length(n, mpr) for n in chunk]
+            loads = [n / plan.length for n, plan in zip(chunk, plans)]
+            column = zip(chunk, plans, channel_efficiency(loads, mpr.M).tolist())
+            columns.append([(n, mpr.M, plan.raw_optimum, plan.length, eff)
+                            for n, plan, eff in column])
+        # rows run over n, and over M within each n
+        return [row for same_n in zip(*columns) for row in same_n]
+
+    return csv_lines(["n", "M", "raw_optimum", "length", "efficiency"],
+                     _chunked_rows(tag_counts, rows_of))
 
 
-def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) -> str:
-    """CSV of channel efficiency versus integer frame length, for one (n, M)."""
+def optimal_length_table(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -> str:
+    """The text of ``optimal_length_lines``."""
+    return "".join(optimal_length_lines(tag_counts, mpr_orders))
+
+
+def efficiency_curve_lines(
+    n: int, mpr: MprOrder, max_length: Optional[int] = None
+) -> Iterator[str]:
+    """CSV lines of channel efficiency versus integer frame length, for one
+    (n, M), built one chunk of lengths at a time; every argument is checked
+    in the call."""
     require_count("tag count", n, 0)
     if max_length is None:
         max_length = max(4 * n, 1)
     require_count("max length", max_length, 1)
     require_curve_budget("an efficiency curve", max_length, mpr.M)
-    lengths = np.arange(1, max_length + 1)
-    efficiency = channel_efficiency(n / lengths, mpr.M)
-    return csv_text(["L", "efficiency"], zip(lengths.tolist(), efficiency.tolist()))
 
+    def rows_of(chunk: range) -> Iterator[tuple[int, float]]:
+        lengths = np.arange(chunk.start, chunk.stop)
+        return zip(lengths.tolist(), channel_efficiency(n / lengths, mpr.M).tolist())
+
+    return csv_lines(["L", "efficiency"], _chunked_rows(range(1, max_length + 1), rows_of))
+
+
+def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) -> str:
+    """The text of ``efficiency_curve_lines``."""
+    return "".join(efficiency_curve_lines(n, mpr, max_length))

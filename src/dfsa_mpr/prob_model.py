@@ -14,6 +14,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -38,11 +39,17 @@ KERNEL_M_MAX = 10**5
 #: the most loads times M that one curve or table asks of the kernel
 #: (``estimator.posterior_curve``, ``harness.efficiency_curve`` and
 #: ``harness.optimal_length_table``). At M = 1 on a 2-vCPU host, a curve at
-#: this budget took 3.8 s from ``posterior_curve`` and 17.6 s from
-#: ``efficiency_curve`` (mostly its CSV text), each peaking at 1.79 GB; through
-#: the CLI, ``estimate --curve-out`` took 19.0 s at 2.21 GB and
-#: ``analyze --efficiency-curve`` 18.6 s at 1.79 GB
+#: this budget took 1.1 s at a peak of 108 MB from ``posterior_curve``, read
+#: to its end, and 10.7 s at 1.03 GB from ``efficiency_curve``, which returns
+#: the whole text; through the CLI, which streams the lines,
+#: ``estimate --curve-out`` took 9.3-10.5 s at 109 MB and
+#: ``analyze --efficiency-curve`` 10.3-10.4 s at 36 MB
 _CURVE_BUDGET = 10**7
+
+#: the candidates, lengths or tag counts of a curve or table that become
+#: Python objects at a time (``curve_chunks``), so a curve at the budget holds
+#: one chunk of rows, not all of them
+_CURVE_CHUNK = 2**14
 
 
 def require_curve_budget(what: str, loads: int, M: int) -> None:
@@ -53,6 +60,13 @@ def require_curve_budget(what: str, loads: int, M: int) -> None:
             f"{what} of {loads} candidates at MPR order {M} exceeds"
             f" the budget of {_CURVE_BUDGET} candidates times M"
         )
+
+
+def curve_chunks(values: Sequence) -> Iterator[Sequence]:
+    """Consecutive slices of ``_CURVE_CHUNK`` items of ``values``; a slice of
+    a range is a range, in the same direction and step."""
+    for start in range(0, len(values), _CURVE_CHUNK):
+        yield values[start:start + _CURVE_CHUNK]
 
 
 @dataclass(frozen=True)

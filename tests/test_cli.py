@@ -378,8 +378,8 @@ _ESTIMATE = ["estimate", "--L", "10", "--E", "1", "--S", "3", "--C", "6", "--M",
     "callee,argv",
     [
         ("run_experiment", _simulate()),
-        ("optimal_length_table", ["analyze", "--optimal-length"]),
-        ("efficiency_curve", ["analyze", "--efficiency-curve", "--mpr-orders", "2"]),
+        ("optimal_length_lines", ["analyze", "--optimal-length"]),
+        ("efficiency_curve_lines", ["analyze", "--efficiency-curve", "--mpr-orders", "2"]),
         ("population_estimates", _ESTIMATE),
         # the estimate is not printed when its curve fails
         ("posterior_curve", [*_ESTIMATE, "--curve-out", "curve.csv"]),

@@ -673,7 +673,7 @@ def test_kept_rows_change_no_estimate(frames, cap):
 
 class TestPosteriorCurve:
     def test_single_point_is_certain(self):
-        curve = posterior_curve(EXAMPLE, MprOrder(1), range(21, 22))
+        curve = list(posterior_curve(EXAMPLE, MprOrder(1), range(21, 22)))
         assert curve == [(21, 1.0)]
 
     def test_normalization(self):
@@ -705,7 +705,7 @@ class TestPosteriorCurve:
 
     def test_distinct_integers_in_any_order(self):
         forward = dict(posterior_curve(EXAMPLE, MprOrder(1), range(20, 23)))
-        reversed_ = posterior_curve(EXAMPLE, MprOrder(1), range(22, 19, -1))
+        reversed_ = list(posterior_curve(EXAMPLE, MprOrder(1), range(22, 19, -1)))
         assert [k for k, _ in reversed_] == [22, 21, 20]
         assert dict(reversed_) == pytest.approx(forward, rel=1e-15)
         with pytest.raises(ValueError, match="non-empty range"):
@@ -724,7 +724,7 @@ class TestPosteriorCurve:
             posterior_curve(EXAMPLE, MprOrder(1), range(10**30, 0, -1))
         assert kernel_orders == [] and not estimator._memo
         monkeypatch.setattr(prob_model, "_CURVE_BUDGET", 40)
-        assert len(posterior_curve(EXAMPLE, MprOrder(2), range(34, 14, -1))) == 20
+        assert len(list(posterior_curve(EXAMPLE, MprOrder(2), range(34, 14, -1)))) == 20
         del kernel_calls[:]
         with pytest.raises(ValueError, match="21 candidates at MPR order 2 exceeds"):
             posterior_curve(EXAMPLE, MprOrder(2), range(15, 56, 2))

@@ -146,10 +146,22 @@ class TestRunExperiment:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        # a platform without CPU affinity counts the host's CPUs
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         spec = small_spec(trials=2)  # 4 cells
         assert run_experiment(spec, parallel=parallel) == run_experiment(spec, parallel=1)
         assert sizes == ([] if workers is None else [workers])
+
+    def test_workers_are_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # the host has 64 CPUs, but the affinity mask lets this process run on one
+        pools = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pools.append)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        spec = small_spec(trials=2)  # 4 cells
+        assert run_experiment(spec, parallel=2) == run_experiment(spec, parallel=1)
+        assert pools == []
 
     def test_estimation_error_small_when_frames_clean(self):
         # M=4 at tiny load: first frames rarely collide, error ~ 0
