@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
 from typing import Iterable, Optional
 
 import yaml
@@ -26,6 +25,7 @@ import yaml
 from .estimator import FrameObservation, population_estimates, posterior_curve
 from .harness import (
     ExperimentSpec,
+    _joined_lines,
     csv_lines,
     efficiency_curve_lines,
     optimal_length_lines,
@@ -139,15 +139,10 @@ def _load_spec(args) -> ExperimentSpec:
         raise ValueError(f"bad config: {exc}") from exc
 
 
-#: lines joined into one write, since a write per line costs more than the join
-_LINES_PER_WRITE = 4096
-
-
 def _write(lines: Iterable[str], path: Optional[str]) -> None:
-    """Write ``lines`` to ``path`` or stdout as they come, in batches of
-    ``_LINES_PER_WRITE``; OSError -> ValueError("cannot write output: ...")."""
-    lines = iter(lines)
-    batches = iter(lambda: "".join(islice(lines, _LINES_PER_WRITE)), "")
+    """Write ``lines`` to ``path`` or stdout as they come, one write per
+    ``_joined_lines`` batch; OSError -> ValueError("cannot write output: ...")."""
+    batches = _joined_lines(lines)
     if not path:
         sys.stdout.writelines(batches)
         return

@@ -95,15 +95,19 @@ unrelated frames rarely does. Each (L, M) keeps one run: the rows log p_s
 and log p_c over consecutive candidates (log p_e is -k/L and is not kept).
 Each of a search's two windows from k_min that lies inside the run is
 sliced from it with no kernel call. One that overlaps or touches the run
-evaluates, in one kernel call, only the candidates the run lacks, and joins
-them to it; any other becomes the run of its (L, M) in place of the old
-one. The second window starts on the first one's last candidate, so it
-never misses the run. Probe rounds and the last window call the kernel as
-before. The runs hold at most 65,536 candidates in all, 16 bytes each, and
-are all emptied when full, like the memo. A served value is the kernel's
-own, bit for bit: each kernel value depends on its own load only, a load
-k/L is the same float64 in any array, and the posterior is summed in the
-same order.
+evaluates, in one kernel call, only the candidates the run lacks, plus a
+margin of 16 candidates on each side where it extends the run, and joins
+them to it. Any other evaluates the window plus the margin on both sides,
+and that becomes the run of its (L, M) in place of the old one, since the
+next frames of that length search nearby. No margin reaches below M + 1,
+where a search window with C >= 1 starts at the least. The second window
+starts on the first one's last candidate, so it never misses the run, and
+its kernel call holds at most 255 + 16 candidates. Probe rounds and the
+last window call the kernel as before. The runs hold at most 2^18
+candidates in all, 16 bytes each (4 MiB), and are all emptied when full,
+like the memo. A served value is the kernel's own, bit for bit: each kernel
+value depends on its own load only, a load k/L is the same float64 in any
+array, and the posterior is summed in the same order.
 """
 
 from __future__ import annotations
@@ -145,8 +149,17 @@ _MEMO_SIZE = 2**14
 _memo: dict[_MemoKey, int] = {}
 
 #: the most candidates whose kernel rows the runs hold together, 16 bytes
-#: each; full runs are all emptied before they take more
-_RUN_SIZE = 2**16
+#: each, so 4 MiB; full runs are all emptied before they take more. The DFSA
+#: half of the paper grid (seed 1, its cells in one process) holds at most
+#: 126,611 candidates at 20 trials, 235,722 at 100 and 262,129 at 500, and
+#: empties the runs 0, 0 and 1 times; its kernel calls fall from 2,941, 11,008
+#: and 34,454 with runs of 2^16 and no margin to 1,605, 3,454 and 7,658. At
+#: 2^17, 100 trials take 4,940 calls, and at 2^19 as many as at 2^18
+_RUN_SIZE = 2**18
+
+#: the candidates a window that misses or extends its run also evaluates on
+#: each side it extends, since the next frames of that length search nearby
+_RUN_MARGIN = 16
 
 
 class _Runs(dict):
@@ -236,10 +249,15 @@ def _window_rows(ks: np.ndarray, L: int, M: int) -> tuple[np.ndarray, ...]:
     """The kernel's rows (log p_e, log p_s, log p_c) at the consecutive
     candidates ``ks`` of a frame of L slots, served from the run of (L, M)
     where ks lies inside it. Otherwise the kernel evaluates the candidates
-    that the run lacks and joins them to it, if ks overlaps or touches the
-    run, or evaluates ks and keeps it as the run in place of the old one.
-    Runs that a window would overfill are all emptied first."""
+    that the run lacks, plus ``_RUN_MARGIN`` on each side that ks extends,
+    and joins them to it, if ks overlaps or touches the run; or it evaluates
+    ks plus the margin on both sides and keeps that as the run in place of
+    the old one. No margin reaches below M + 1 or makes a run alone pass
+    ``_RUN_SIZE``. Runs that a window would overfill are all emptied first."""
     lo, n = int(ks[0]), ks.size
+    hi = lo + n
+    # the margins' ends; no search window starts below M + 1 (C >= 1)
+    low, high = min(lo, max(lo - _RUN_MARGIN, M + 1)), hi + _RUN_MARGIN
     run = _runs.get((L, M))
     if run is not None:
         k0, log_s, log_c = run
@@ -247,25 +265,31 @@ def _window_rows(ks: np.ndarray, L: int, M: int) -> tuple[np.ndarray, ...]:
         if 0 <= i <= held - n:
             # log p_e = -k/L, bit for bit: IEEE division is symmetric in sign
             return ks / -L, log_s[i:i + n], log_c[i:i + n]
-        # the candidates the run lacks on its left and on its right
-        left, right = max(0, -i), max(0, i + n - held)
-        if -n <= i <= held and _runs.size + left + right <= _RUN_SIZE:
-            lacking = np.concatenate((ks[:left], ks[n - right:]))
+        # the joined run's ends: a margin on each side that ks extends
+        start = low if lo < k0 else k0
+        stop = high if hi > k0 + held else k0 + held
+        if lo <= k0 + held and hi >= k0 and _runs.size - held + stop - start <= _RUN_SIZE:
+            lacking = np.concatenate((np.arange(start, k0), np.arange(k0 + held, stop)))
             _, new_s, new_c = log_slot_probabilities(lacking / L, M)
+            left = k0 - start
             log_s = np.concatenate((new_s[:left], log_s, new_s[left:]))
             log_c = np.concatenate((new_c[:left], log_c, new_c[left:]))
-            _runs[L, M] = (min(lo, k0), log_s, log_c)
-            _runs.size += left + right
-            i = max(i, 0)
+            _runs[L, M] = (start, log_s, log_c)
+            _runs.size += stop - start - held
+            i = lo - start
             return ks / -L, log_s[i:i + n], log_c[i:i + n]
         _runs.size -= held
-    rows = log_slot_probabilities(ks / L, M)
-    if _runs.size + n > _RUN_SIZE:
+    if high - low > _RUN_SIZE:
+        low, high = lo, hi
+    if _runs.size + high - low > _RUN_SIZE:
         _runs.clear()
+    _, log_s, log_c = log_slot_probabilities(np.arange(low, high) / L, M)
     # copies, so that a run holds no row of log p_e
-    _runs[L, M] = (lo, rows[1].copy(), rows[2].copy())
-    _runs.size += n
-    return rows
+    log_s, log_c = log_s.copy(), log_c.copy()
+    _runs[L, M] = (low, log_s, log_c)
+    _runs.size += high - low
+    i = lo - low
+    return ks / -L, log_s[i:i + n], log_c[i:i + n]
 
 
 def _frame_key(obs: FrameObservation, mpr: MprOrder) -> _MemoKey:

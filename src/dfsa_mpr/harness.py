@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -210,9 +210,21 @@ def csv_lines(columns: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
         yield line.format(*row)
 
 
+#: lines joined at a time, by the text forms here and by the CLI's writes: a
+#: write per line costs more than the join, and one join of every line holds
+#: every line's string at once
+_LINES_PER_JOIN = 4096
+
+
+def _joined_lines(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined ``_LINES_PER_JOIN`` at a time, as they come."""
+    lines = iter(lines)
+    return iter(lambda: "".join(islice(lines, _LINES_PER_JOIN)), "")
+
+
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The text of ``csv_lines``."""
-    return "".join(csv_lines(columns, rows))
+    return "".join(_joined_lines(csv_lines(columns, rows)))
 
 
 def render_csv(table: Mapping[CellKey, AggregateMetrics]) -> str:
@@ -270,7 +282,7 @@ def optimal_length_lines(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -
 
 def optimal_length_table(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -> str:
     """The text of ``optimal_length_lines``."""
-    return "".join(optimal_length_lines(tag_counts, mpr_orders))
+    return "".join(_joined_lines(optimal_length_lines(tag_counts, mpr_orders)))
 
 
 def efficiency_curve_lines(
@@ -294,4 +306,4 @@ def efficiency_curve_lines(
 
 def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) -> str:
     """The text of ``efficiency_curve_lines``."""
-    return "".join(efficiency_curve_lines(n, mpr, max_length))
+    return "".join(_joined_lines(efficiency_curve_lines(n, mpr, max_length)))

@@ -32,8 +32,10 @@ def require_count(name: str, value, least: int) -> None:
 
 
 #: the largest M the kernel is run at: a load costs about 40 ns per unit of
-#: M on a 2-vCPU host and a search evaluates fewer than 1,300 loads, so at
-#: 10^5 a search takes at most about 5 s (at 10^6 a 10-slot frame took 27 s)
+#: M on a 2-vCPU host (the 10-slot frame's search at 10^5 took 2.3 s for 584
+#: loads, and 2.5 s for 615 with kept rows), and a search evaluates fewer than
+#: 1,320 loads (the margins of kept rows add at most 31 to its two windows),
+#: so at 10^5 a search takes at most about 5 s (at 10^6 that frame took 27 s)
 KERNEL_M_MAX = 10**5
 
 #: the most loads times M that one curve or table asks of the kernel

@@ -1,6 +1,7 @@
-"""Curves and tables are built one chunk at a time: the bytes do not depend on
-the chunk size, every refusal comes from the call, and a long curve written
-through the CLI holds one chunk, not every point, in memory."""
+"""Curves and tables are built one chunk at a time, and their text is joined
+one batch of lines at a time: the bytes do not depend on either size, every
+refusal comes from the call, and a long curve written through the CLI holds
+one chunk, not every point, in memory."""
 
 import os
 import subprocess
@@ -9,10 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from dfsa_mpr import estimator, prob_model
+from dfsa_mpr import estimator, harness, prob_model
 from dfsa_mpr.cli import main
 from dfsa_mpr.estimator import FrameObservation, posterior_curve
-from dfsa_mpr.harness import efficiency_curve, optimal_length_table
+from dfsa_mpr.harness import (
+    csv_lines,
+    csv_text,
+    efficiency_curve,
+    efficiency_curve_lines,
+    optimal_length_lines,
+    optimal_length_table,
+)
 from dfsa_mpr.prob_model import MprOrder
 
 EXAMPLE = FrameObservation(L=10, E=1, S=3, C=6, identified=3)
@@ -98,6 +106,34 @@ def test_tables_do_not_depend_on_the_chunk(chunk, monkeypatch):
 def test_cli_outputs_do_not_depend_on_the_chunk(chunk, monkeypatch, tmp_path, capsys):
     default = _cli_outputs(tmp_path)
     monkeypatch.setattr(prob_model, "_CURVE_CHUNK", chunk)
+    assert _cli_outputs(tmp_path) == default
+    capsys.readouterr()
+
+
+def _text_forms():
+    """Each text form of the library beside the lines it joins."""
+    rows = [(k, k / 7, "x") for k in range(POINTS)]
+    mprs = [MprOrder(2), MprOrder(1)]
+    return [
+        (efficiency_curve(50, mprs[0], max_length=POINTS),
+         efficiency_curve_lines(50, mprs[0], max_length=POINTS)),
+        (efficiency_curve(7, mprs[1]), efficiency_curve_lines(7, mprs[1])),
+        (optimal_length_table(list(range(1, POINTS + 1)), [1, 2, 3]),
+         optimal_length_lines(list(range(1, POINTS + 1)), [1, 2, 3])),
+        (csv_text(["k", "x", "s"], rows), csv_lines(["k", "x", "s"], rows)),
+        (csv_text(["k"], []), csv_lines(["k"], [])),
+    ]
+
+
+@pytest.mark.parametrize("lines", [1, 3, 4096])
+def test_text_forms_do_not_depend_on_the_lines_joined_at_a_time(
+    lines, monkeypatch, tmp_path, capsys
+):
+    # 23 lines of an efficiency curve in joins of 3 leave a last join of 2
+    default = _cli_outputs(tmp_path)
+    monkeypatch.setattr(harness, "_LINES_PER_JOIN", lines)
+    for text, lines_of_text in _text_forms():
+        assert text == "".join(lines_of_text)
     assert _cli_outputs(tmp_path) == default
     capsys.readouterr()
 

@@ -567,38 +567,61 @@ class TestRuns:
             k0, log_s, _ = estimator._runs[10, 2]
             return kernel_calls, (k0, log_s.size)
 
-        assert rows(20, 64) == ([64], (20, 64))
+        assert estimator._RUN_MARGIN == 16
+        # a first sighting: the window and 16 candidates on each side
+        assert rows(40, 64) == ([16 + 64 + 16], (24, 96))
         # inside the run: no kernel call
-        assert rows(30, 40) == ([], (20, 64))
-        # overlapping or touching it: only the candidates it lacks
-        assert rows(4, 20) == ([16], (4, 80))
-        assert rows(84, 16) == ([16], (4, 96))
-        assert rows(0, 110) == ([4 + 10], (0, 110))
-        # missing it: a new run in its place
-        assert rows(111, 8) == ([8], (111, 8))
-        assert estimator._runs.size == 8
+        assert rows(50, 40) == ([], (24, 96))
+        # overlapping or touching it: only the candidates it lacks, and 16
+        # more on each side that the window extends
+        assert rows(100, 30) == ([10 + 16], (24, 122))
+        assert rows(146, 4) == ([4 + 16], (24, 142))
+        # no margin below M + 1 = 3, and none left of a window that starts below it
+        assert rows(8, 16) == ([16 + 5], (3, 163))
+        assert rows(0, 170) == ([3 + 4 + 16], (0, 186))
+        # missing it: the window and its margins, a new run in its place
+        assert rows(203, 8) == ([16 + 8 + 16], (187, 40))
+        assert estimator._runs.size == 40
+
+    def test_the_left_margin_stops_at_m_plus_1(self, kernel_calls):
+        def first_sighting(L, M, lo, size):
+            estimator._runs.clear()
+            del kernel_calls[:]
+            _checked_window_rows(np.arange(lo, lo + size), L, M)
+            k0, log_s, _ = estimator._runs[L, M]
+            return kernel_calls, (k0, log_s.size)
+
+        # the smallest candidate a search window starts on is M + 1, at C = 1
+        assert first_sighting(10, 2, 10, 8) == ([7 + 8 + 16], (3, 31))
+        assert first_sighting(10, 4, 5, 8) == ([8 + 16], (5, 24))
+        assert first_sighting(10, 4, 2, 8) == ([8 + 16], (2, 24))
+        assert first_sighting(10, 4, 21, 8) == ([16 + 8 + 16], (5, 40))
 
     def test_full_runs_are_emptied(self, monkeypatch):
         assert estimator._WINDOWS[-1] < estimator._RUN_SIZE < 10**6
-        # with room for 320 candidates: a run of 64 on L = 10 and one of 256
-        # on L = 11 fill the runs, and the next window on a new length
-        # empties them
-        monkeypatch.setattr(estimator, "_RUN_SIZE", 320)
+        # with room for 384 candidates: a run of 64 + 32 on L = 10 and one of
+        # 256 + 32 on L = 11 fill the runs, and the next window on a new
+        # length empties them
+        monkeypatch.setattr(estimator, "_RUN_SIZE", 384)
         estimator._runs.clear()
 
         def window(L, lo, size):
             return _checked_window_rows(np.arange(lo, lo + size), L, 2)
 
         window(10, 20, 64)
-        window(11, 5, 256)
-        assert estimator._runs.size == 320 and set(estimator._runs) == {(10, 2), (11, 2)}
-        window(12, 0, 64)
-        assert (set(estimator._runs), estimator._runs.size) == ({(12, 2)}, 64)
+        window(11, 20, 256)
+        assert estimator._runs.size == 384 and set(estimator._runs) == {(10, 2), (11, 2)}
+        window(12, 20, 64)
+        assert (set(estimator._runs), estimator._runs.size) == ({(12, 2)}, 96)
         # a join that would overfill the runs replaces its run instead
-        window(13, 0, 256)
-        assert estimator._runs.size == 320
-        window(12, 60, 64)
-        assert estimator._runs.size == 320 and estimator._runs[12, 2][0] == 60
+        window(13, 20, 256)
+        assert estimator._runs.size == 384
+        window(12, 100, 64)
+        assert estimator._runs.size == 384 and estimator._runs[12, 2][0] == 84
+        # margins that would make one run pass the cap are left out
+        window(14, 20, 380)
+        assert (set(estimator._runs), estimator._runs.size) == ({(14, 2)}, 380)
+        assert estimator._runs[14, 2][0] == 20
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(windows_on_shared_lengths(), st.integers(estimator._WINDOWS[-1], 1024))
@@ -628,6 +651,16 @@ class TestRuns:
         # nor does a direct call
         map_estimate(EXAMPLE, MprOrder(2))
         assert len(kernel_calls) == 5 and not estimator._runs
+
+    def test_the_dfsa_grid_makes_a_pinned_number_of_kernel_calls(self, kernel_calls):
+        # the DFSA half of the 20-trial paper grid at seed 1, its cells in one
+        # process in key order, from empty caches. Runs of at most 2^16
+        # candidates without margins made 2,941 calls over 137,997 loads, and
+        # without margins at 2^18, 2,661 calls
+        for n in range(100, 1001, 100):
+            for M in range(1, 5):
+                _run_cell((("dfsa", n, M, 128), 20, 1))
+        assert (len(kernel_calls), sum(kernel_calls)) == (1605, 146068)
 
 
 @st.composite
