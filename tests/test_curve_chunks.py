@@ -113,11 +113,10 @@ def test_cli_outputs_do_not_depend_on_the_chunk(chunk, monkeypatch, tmp_path, ca
 def _text_forms():
     """Each text form of the library beside the lines it joins."""
     rows = [(k, k / 7, "x") for k in range(POINTS)]
-    mprs = [MprOrder(2), MprOrder(1)]
     return [
-        (efficiency_curve(50, mprs[0], max_length=POINTS),
-         efficiency_curve_lines(50, mprs[0], max_length=POINTS)),
-        (efficiency_curve(7, mprs[1]), efficiency_curve_lines(7, mprs[1])),
+        (efficiency_curve(50, MprOrder(2), max_length=POINTS),
+         efficiency_curve_lines(50, MprOrder(2), max_length=POINTS)),
+        (efficiency_curve(7, MprOrder(1)), efficiency_curve_lines(7, MprOrder(1))),
         (optimal_length_table(list(range(1, POINTS + 1)), [1, 2, 3]),
          optimal_length_lines(list(range(1, POINTS + 1)), [1, 2, 3])),
         (csv_text(["k", "x", "s"], rows), csv_lines(["k", "x", "s"], rows)),
