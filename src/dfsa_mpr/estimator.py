@@ -43,7 +43,7 @@ answers matched a high-precision mode on a sample up to L = 10^6. From about
 L = 10^7 the rounding error of f(k), O(eps L), outgrows the differences
 between neighbouring candidates, and known answers miss the mode.
 
-The search runs windows, then probe rounds, then one last window, and no
+The search runs windows, then probe rounds, then a last window, and no
 round evaluates more than 256 candidates for one frame. The first window
 holds 64 candidates from k_min, cut at k_max, and gives its first argmax,
 so ties go to the smaller k. An argmax with a candidate after it in the
@@ -52,17 +52,29 @@ again. An argmax on the window's last candidate below k_max starts the
 second window there, of 256 candidates.
 
 Past the 256-candidate window the posterior rises into its last candidate
-a, so the mode lies in the bracket [a, b], with b = k_max at first. While
-the bracket holds 256 candidates or more, a round evaluates 32 probe pairs
-(p, p+1), at the points that cut [a, b] into 33 equal parts. The
-differences of a concave sequence never increase, so the mode is the first
-k with f(k+1) <= f(k): the first pair that stops rising sets b = p, and a
-becomes one past the probe before it. If every pair rises, a becomes one
-past the last probe. Each round narrows the bracket about 33-fold, and one
-window over the last bracket, of at most 255 candidates, gives its first
-argmax. A tie inside a pair turns it down, so ties still go to the smaller
-k. Many narrow rounds beat few wide ones because a kernel call costs about
-as much before its first candidate as several hundred candidates do.
+a, so the mode lies in [a, k_max]. The search brackets it in [a, b], and b
+is proved once the mode is known to be at most b. The first b is a + 3 D,
+with D the distance at which the window's first differences, falling on at
+the rate they fall over its last 64 candidates, would reach zero; it is
+k_max, and so proved, where they do not fall or where a + 3 D passes
+k_max. While the bracket holds 256 candidates or more, a round evaluates
+32 probe pairs (p, p+1), at the points that cut [a, b] into 33 equal
+parts, and one more at p = b while b is not proved. The differences
+of a concave sequence never increase, so the mode is the first k with
+f(k+1) <= f(k): the first pair that stops rising sets b = p, now proved,
+and a becomes one past the probe before it. If every pair rises, a becomes
+one past the last probe, and b becomes k_max. Each round narrows the
+bracket about 33-fold, and one window over the last bracket, of at most
+255 candidates and one past b while b is not proved, gives its first
+argmax, unless it still rises into b + 1: then the search goes on over
+[b + 1, k_max]. A tie inside a pair turns it down, so ties still go to the
+smaller k, and D only decides how many rounds a search takes, never its
+answer. Many narrow rounds beat few wide ones because a kernel call costs
+about as much before its first candidate as several hundred candidates do.
+Of the 949 searches of the ``estimate_analyze`` corpus (seeds 1-3) that
+reach this phase, 816 took five kernel calls, 128 four and 5 six from the
+bracket [a, k_max]; from [a, a + 3 D], 100 take three, 741 four and 108
+five.
 
 Every candidate is held in int64, so a frame that needs a search and whose
 k_max exceeds 2^63 - 1 raises ValueError before any kernel call. A
@@ -131,6 +143,18 @@ from .prob_model import (
 #: round that brackets a far mode
 _WINDOWS = (64, 256)
 _PROBE_PAIRS = 32
+
+#: the first probe bracket of a far mode reaches ``_REACH`` times the distance
+#: at which the 256-candidate window's first differences, falling at their
+#: rate over its last ``_SPAN`` candidates, reach zero. Kernel calls on the
+#: ``estimate_analyze`` corpus at seeds 1-3, the DFSA and FSA halves of the
+#: 20-trial paper grid and 3,003 frames with C >= 3L/4 (L 16..4,096, M 1..8)
+#: were 11,837, 1,605, 92 and 10,987 with the bracket [a, k_max]; 11,030,
+#: 1,517, 90 and 10,246 at reach 2; 11,019, 1,525, 87 and 9,896 at 3; and
+#: 11,091, 1,543, 88 and 9,948 at 4. At reach 3, spans of 32 to 128 made
+#: 11,012 to 11,022 corpus calls, and the whole window's 254 made 94 FSA calls
+_SPAN = 64
+_REACH = 3.0
 
 #: the largest int64, which numpy holds candidates and slots in: it bounds
 #: the search cap here and the initial frame length in ``protocol``
@@ -315,25 +339,50 @@ def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
         raise ValueError(f"the search cap 10*L*M = {hi} exceeds 2**63 - 1")
     for width in _WINDOWS:
         size = min(width, hi - lo + 1)
-        i = int((yield np.arange(lo, lo + size)).argmax())
+        values = yield np.arange(lo, lo + size)
+        i = int(values.argmax())
         if i < size - 1 or lo + i == hi:
             return lo + i
         lo += i
-    # the values rise into lo and the mode lies in [lo, hi]: probe pairs at
-    # the 32 points that cut [lo, hi] into 33 equal parts (j (hi - lo) // 33,
-    # without overflow), and narrow to the first pair that stops rising
-    j = np.arange(1, _PROBE_PAIRS + 1)
-    while hi - lo + 1 >= _WINDOWS[-1]:
-        step, rest = divmod(hi - lo, _PROBE_PAIRS + 1)
-        probes = lo + j * step + j * rest // (_PROBE_PAIRS + 1)
-        values = yield np.stack((probes, probes + 1), axis=1).ravel()
-        down = values[1::2] <= values[::2]
-        i = int(down.argmax())
-        if not down[i]:
-            lo = int(probes[-1]) + 1
-        else:
-            lo, hi = (lo if i == 0 else int(probes[i - 1]) + 1), int(probes[i])
-    return lo + int((yield np.arange(lo, hi + 1)).argmax())
+    # the values rise into lo, so the mode lies in [lo, hi]; no probe pair has
+    # shown that it lies in [lo, top] while top < hi
+    top = _bracket_top(values, lo, hi)
+    while True:
+        while top - lo + 1 >= _WINDOWS[-1]:
+            # probe pairs at the 32 points that cut [lo, top] into 33 equal
+            # parts (j (top - lo) // 33, without overflow), and at top itself
+            # while top < hi; narrow to the first pair that stops rising
+            j = np.arange(1, _PROBE_PAIRS + 1 + (top < hi))
+            step, rest = divmod(top - lo, _PROBE_PAIRS + 1)
+            probes = lo + j * step + j * rest // (_PROBE_PAIRS + 1)
+            values = yield np.stack((probes, probes + 1), axis=1).ravel()
+            down = values[1::2] <= values[::2]
+            i = int(down.argmax())
+            if down[i]:
+                lo, hi = (lo if i == 0 else int(probes[i - 1]) + 1), int(probes[i])
+            else:
+                lo = int(probes[-1]) + 1
+            top = hi
+        # a window over [lo, top], and one past top while top < hi: a window
+        # that still rises into top + 1 leaves the mode in [top + 1, hi]
+        mode = lo + int((yield np.arange(lo, top + 1 + (top < hi))).argmax())
+        if mode <= top:
+            return mode
+        lo, top = mode, hi
+
+
+def _bracket_top(window: np.ndarray, lo: int, hi: int) -> int:
+    """The top of the first bracket [lo, top] of the probe phase, given the
+    values of a window that rise into its last candidate lo: lo plus
+    ``_REACH`` times the distance at which its first differences, falling as
+    they fall over its last ``_SPAN`` candidates, would reach zero. It is hi
+    where the differences do not fall, or where that top would pass hi."""
+    rise = window[-1] - window[-2]
+    fall = window[-_SPAN - 1] - window[-_SPAN - 2] - rise
+    reach = _REACH * _SPAN * rise
+    if fall > 0 and reach < fall * (hi - lo):
+        return lo + math.ceil(reach / fall)
+    return hi
 
 
 def _mode_without_search(key: _MemoKey) -> Optional[int]:

@@ -8,6 +8,7 @@ estimate minus the tags identified, at least M+1 by the estimator's bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,6 +24,13 @@ class FramePlan:
     raw_optimum: float
 
 
+@functools.lru_cache(maxsize=64)
+def _length_scale(M: int) -> tuple[float, int, int]:
+    """(M!)^(-1/M), built once per M, and its exact ratio of integers."""
+    scale = math.exp(-math.lgamma(M + 1) / M)
+    return (scale, *scale.as_integer_ratio())
+
+
 def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     """Efficiency-maximizing frame length for n contending tags.
 
@@ -33,12 +41,11 @@ def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     require_count("tag count", n, 0)
     # a Python int keeps the integer rounding exact for a numpy count as well
     n = operator.index(n)
+    scale, num, den = _length_scale(mpr.M)
     try:
-        scale = math.exp(-math.lgamma(mpr.M + 1) / mpr.M)
         raw = n * scale
     except OverflowError:
         raise ValueError("tag count is too large to convert to a float") from None
-    num, den = scale.as_integer_ratio()
     return FramePlan(length=max(1, (2 * n * num + den) // (2 * den)), raw_optimum=raw)
 
 

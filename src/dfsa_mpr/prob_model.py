@@ -14,7 +14,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -33,9 +33,13 @@ def require_count(name: str, value, least: int) -> None:
 
 #: the largest M the kernel is run at: a load costs about 40 ns per unit of
 #: M on a 2-vCPU host (the 10-slot frame's search at 10^5 took 2.3 s for 584
-#: loads, and 2.5 s for 615 with kept rows), and a search evaluates fewer than
-#: 1,320 loads (the margins of kept rows add at most 31 to its two windows),
-#: so at 10^5 a search takes at most about 5 s (at 10^6 that frame took 27 s)
+#: loads, and 2.5 s for 615 with kept rows; 2.6 s for 529 loads since its
+#: first probe bracket is predicted), and a search evaluates at most 1,566
+#: loads: its two windows, 320, and the margins of kept rows, 31; a window of
+#: 256 past a predicted bracket that the mode lies beyond; 11 probe rounds of
+#: 64, which narrow any bracket below 2^63 to fewer than 256 candidates; and
+#: a last window of 255. So at 10^5 a search takes at most about 6 s (at 10^6
+#: that frame took 27 s)
 KERNEL_M_MAX = 10**5
 
 #: the most loads times M that one curve or table asks of the kernel
@@ -131,20 +135,45 @@ def _kernel_constants(M: int) -> _KernelConstants:
     )
 
 
-def _log_collided_series(x: np.ndarray, k: _KernelConstants) -> np.ndarray:
-    """log P(X > M) for x < M+1: x^(M+1)/(M+1)! (1 + x/(M+2) + ...) e^-x.
+def _log_collided_series(
+    x: np.ndarray, log_x: np.ndarray, k: _KernelConstants, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """log P(X > M) for x < M+1, given log x, into ``out`` and returned:
+    x^(M+1)/(M+1)! (1 + x/(M+2) + ...) e^-x.
 
     With u = x/(M+1) < 1 the bracket is sum_i d_i u^i, where
     d_i = prod_{l=1..i} (M+1)/(M+1+l) is its value at x = M+1: every d_i
     lies in (0, 1], so nothing cancels, overflows or underflows.
     """
     if x.size == 1:  # as a pair, for the reason given in _log_slot_block
-        return _log_collided_series(np.repeat(x, 2), k)[:1]
+        pair = _log_collided_series(np.repeat(x, 2), np.repeat(log_x, 2), k)
+        if out is None:
+            return pair[:1]
+        out[:] = pair[:1]
+        return out
     M = k.M
-    powers = k.tail_powers * np.log(x / (M + 1))
+    log_u = x / (M + 1)
+    powers = k.tail_powers * np.log(log_u, out=log_u)
     np.exp(powers, out=powers)
     series = np.einsum("i,ij->j", k.tail_weights, powers)
-    return (M + 1) * np.log(x) - k.log_first_tail + np.log1p(series) - x
+    # ((M+1) log x - log (M+1)!) + log1p(series) - x, in that order, in place
+    out = np.multiply(log_x, M + 1, out=out)
+    out -= k.log_first_tail
+    out += np.log1p(series, out=series)
+    out -= x
+    return out
+
+
+def _log_complement(
+    log_e: np.ndarray, log_s: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """log(1 - P(X <= M)) into ``out`` and returned, for x >= M+1: there the
+    Poisson median (>= x - ln 2) exceeds M, so P(X <= M) < 1/2 and log1p(-P)
+    is the accurate form."""
+    out = np.logaddexp(log_e, log_s, out=out)
+    np.exp(out, out=out)
+    np.negative(out, out=out)
+    return np.log1p(out, out=out)
 
 
 def _log_slot_block(x: np.ndarray, k: _KernelConstants, out: np.ndarray) -> None:
@@ -158,21 +187,29 @@ def _log_slot_block(x: np.ndarray, k: _KernelConstants, out: np.ndarray) -> None
         return
     log_e, log_s, log_c = out
     np.negative(x, out=log_e)
-    terms = k.j * np.log(x) - k.log_factorials
-    shift = np.maximum(terms.max(axis=0), _FLOAT_MIN)
-    terms -= shift
-    np.add(log_e, shift, out=log_s)
-    log_s += np.log(np.exp(terms, out=terms).sum(axis=0))
-    low = x < k.M + 1
-    if low.all():
-        log_c[:] = _log_collided_series(x, k)
-        return
-    high = ~low
-    # at x >= M+1 the Poisson median (>= x - ln 2) exceeds M, so
-    # P(X <= M) < 1/2 and log1p(-P) is the accurate form of log(1 - P)
-    log_c[high] = np.log1p(-np.exp(np.logaddexp(log_e[high], log_s[high])))
-    if low.any():
-        log_c[low] = _log_collided_series(x[low], k)
+    log_x = np.log(x)
+    if k.M == 1:
+        # the log-sum-exp of one row j = 1 is 1.0 log x - 0.0 = log x, shifted
+        # by itself to exp(0) = 1, whose log 0.0 adds nothing: -x + log x
+        np.add(log_e, log_x, out=log_s)
+    else:
+        terms = k.j * log_x
+        terms -= k.log_factorials
+        shift = np.maximum.reduce(terms, axis=0)
+        np.maximum(shift, _FLOAT_MIN, out=shift)
+        terms -= shift
+        np.add(log_e, shift, out=log_s)
+        total = np.add.reduce(np.exp(terms, out=terms), axis=0)
+        log_s += np.log(total, out=total)
+    if np.maximum.reduce(x) < k.M + 1:
+        _log_collided_series(x, log_x, k, log_c)
+    elif np.minimum.reduce(x) >= k.M + 1:
+        _log_complement(log_e, log_s, log_c)
+    else:
+        low = x < k.M + 1
+        high = ~low
+        log_c[high] = _log_complement(log_e[high], log_s[high])
+        log_c[low] = _log_collided_series(x[low], log_x[low], k)
 
 
 def log_slot_probabilities(
@@ -182,10 +219,12 @@ def log_slot_probabilities(
 
     With X ~ Poisson(x): empty is X = 0, successful is 1 <= X <= M, collided
     is X > M. The successful term is a log-sum-exp of j log x - log j! over
-    j = 1..M. The collided term is the tail series where x < M+1, and
-    log(1 - P(X <= M)) above that. Every term stays finite for any M;
-    x = 0 gives (0, -inf, -inf). Each value depends on its own x only.
-    An M past ``KERNEL_M_MAX`` raises ValueError before any O(M) work.
+    j = 1..M, which at M = 1 is -x + log x itself. The collided term is the
+    tail series where x < M+1, and log(1 - P(X <= M)) above that. log x is
+    taken once per block of loads and serves both terms. Every term stays
+    finite for any M; x = 0 gives (0, -inf, -inf). Each value depends on its
+    own x only. An M past ``KERNEL_M_MAX`` raises ValueError before any O(M)
+    work.
     """
     if M > KERNEL_M_MAX:
         raise ValueError(
@@ -198,9 +237,12 @@ def log_slot_probabilities(
     out = np.empty((3, flat.size))
     block = max(2, _BLOCK_ENTRIES // (M + 1))
     with np.errstate(divide="ignore"):
-        for start in range(0, flat.size, block):
-            stop = start + block
-            _log_slot_block(flat[start:stop], constants, out[:, start:stop])
+        if flat.size > block:
+            for start in range(0, flat.size, block):
+                stop = start + block
+                _log_slot_block(flat[start:stop], constants, out[:, start:stop])
+        elif flat.size:
+            _log_slot_block(flat, constants, out)
     return tuple(out.reshape((3,) + x.shape))
 
 

@@ -30,6 +30,11 @@ def kernel_orders(monkeypatch):
     return orders
 
 
+def same_bits(rows, expected):
+    """True when each array of ``rows`` has the bytes of its peer in ``expected``."""
+    return all(a.tobytes() == b.tobytes() for a, b in zip(rows, expected, strict=True))
+
+
 def binomial_occupancy(j, n, L):
     """Probability that exactly j of the n tags land in a given one of L slots.
 

@@ -40,6 +40,21 @@ def test_estimate_notes_a_saturated_estimate_on_stderr(capsys):
     assert "k_max = 10*L*M = 80" in captured.err
 
 
+@pytest.mark.parametrize("L, E, S, C, M, identified, out, capped", [
+    ("4096", "1", "2", "4093", "8", "2", "87578", False),
+    ("1000", "3", "10", "987", "4", "10", "11070", False),
+    ("4096", "0", "1", "4095", "1", "1", "40960", True),
+])
+def test_estimate_far_modes_past_the_first_probe_bracket(L, E, S, C, M, identified, out, capped, capsys):
+    # modes that the search finds past its first, predicted, bracket top
+    code = main(["estimate", "--L", L, "--E", E, "--S", S, "--C", C, "--M", M,
+                 "--identified", identified])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == out + "\n"
+    assert ("the estimate is the search cap" in captured.err) == capped
+
+
 def test_estimate_prefers_exact_count_without_collisions(capsys):
     code = main(
         ["estimate", "--L", "10", "--E", "6", "--S", "4", "--C", "0", "--M", "2",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_map, trinomial_log_posterior
+from conftest import brute_force_map, same_bits, trinomial_log_posterior
 from dfsa_mpr import estimator, prob_model
 from dfsa_mpr.estimator import (
     FrameObservation,
@@ -370,14 +370,103 @@ class TestWindowSearch:
         assert mode == peak
         assert (last[0], last[-1]) == (peak, self._HI)
 
+    # a search over [0, 10**6] of a concave integer sequence f, f(0) = 0 and
+    # f(k + 1) - f(k) = d(k), rises out of its second window into 318
+    _FAR = 10**6
+
+    def _search(self, d, hi=_FAR):
+        """The search of f over [0, hi]: its mode, its rounds' (first, last)
+        candidates, and the first argmax of f over [0, hi]."""
+        f = np.concatenate(([0], np.cumsum(d))).astype(float)
+        rounds = []
+
+        def evaluate(ks):
+            rounds.append((int(ks[0]), int(ks[-1])))
+            return f[ks]
+
+        mode = _step_window_search(evaluate, 0, hi)[0]
+        assert rounds[:2] == [(0, 63), (63, 318)]
+        return mode, rounds[2:], int(f[:hi + 1].argmax())
+
+    @pytest.mark.parametrize("peak, rounds", [
+        # a bracket [318, 567] under 256 candidates: one window and one past its top
+        (400, [(318, 568)]),
+        # a probe round over [318, 5367] with a pair on 5367 itself
+        (2000, [(471, 5368), (1849, 2001)]),
+        (30000, [(3016, 89368), (27384, 29920), (29920, 30001)]),
+        # a top past the cap leaves the bracket [318, 10**6]
+        (500000, [(30611, 969707), (485930, 514388), (499728, 500590), (499979, 500006)]),
+    ])
+    def test_linearly_falling_differences_bracket_the_mode(self, peak, rounds):
+        # d(k) = peak - k: the window's differences predict the mode exactly,
+        # and the bracket [318, 318 + 3 (peak - 317)] holds it
+        k = np.arange(self._FAR)
+        mode, got, first = self._search(peak - k)
+        assert mode == first == peak
+        assert got == rounds
+
+    def test_differences_that_fall_slower_than_linearly_resume_probing(self):
+        # d(k) = ceil(10^6 / (k + 1)) - 100 falls like 1/k and first reaches 0
+        # at 9999, far past the bracket [318, 1056] its window predicts: the
+        # pair on 1056 still rises, so the probe rounds go on over [1057, 10^6]
+        k = np.arange(self._FAR)
+        mode, rounds, first = self._search(-(-10**6 // (k + 1)) - 100)
+        assert mode == first == 9999
+        assert rounds[0] == (340, 1057)
+        assert rounds[1:] == [(31328, 969730), (1974, 30411), (9340, 10203), (9980, 10007)]
+
+    @pytest.mark.parametrize("peak, top, last", [(330, 357, (318, 358)), (2000, 5367, (5215, 5367))])
+    def test_a_tie_on_the_bracket_top_returns_the_top(self, peak, top, last):
+        # d falls as peak - k over the windows, which brackets the mode in
+        # [318, top]; d stays 1 up to top, is 0 there and -1 past it, so
+        # f(top) = f(top + 1) is the top. Its pair turns down, or the window
+        # over the bracket and one past it returns its first argmax
+        d = np.maximum(peak - np.arange(self._FAR), 1)
+        d[top], d[top + 1:] = 0, -1
+        mode, rounds, first = self._search(d)
+        assert mode == first == top
+        assert rounds[-1] == last
+
+    @pytest.mark.parametrize("peak, mode, hi, rounds", [
+        # the pair on the bracket top 5367 still rises
+        (2000, 50000, 50000, [(471, 5368), (6720, 48648), (48688, 49960), (49960, 50000)]),
+        # the window over the bracket [318, 357] still rises into 358
+        (330, 50000, 50000, [(318, 358), (1862, 48496), (48541, 49955), (49955, 50000)]),
+        (330, 1000, 10**6, [(318, 358), (30650, 969708), (1275, 29733), (385, 1248), (998, 1024)]),
+    ])
+    def test_a_mode_past_the_bracket_top(self, peak, mode, hi, rounds):
+        # d falls as peak - k over the windows, then stays 1 up to the mode,
+        # or to the cap hi, far past the bracket: the search goes on past it
+        d = np.maximum(peak - np.arange(hi), 1)
+        d[mode:] = -1
+        assert self._search(d, hi) == (mode, rounds, mode)
+
+    @pytest.mark.parametrize("L, E, S, C, M, identified, n_hat, loads", [
+        # near-saturated frames, whose differences fall slower than linearly:
+        # the pair on the first bracket top still rises, so the probe rounds
+        # go on past it, and in the last frame the mode is the cap
+        (4096, 1, 2, 4093, 8, 2, 87578, [64, 256, 66, 64, 64, 235]),
+        (1000, 3, 10, 987, 4, 10, 11070, [64, 256, 66, 64, 64, 26]),
+        (4096, 0, 1, 4095, 1, 1, 40960, [64, 256, 66, 64, 64, 18]),
+    ])
+    def test_far_modes_at_large_frames_are_the_first_argmax(
+        self, kernel_calls, L, E, S, C, M, identified, n_hat, loads
+    ):
+        obs = FrameObservation(L, E, S, C, identified)
+        est = map_estimate(obs, MprOrder(M))
+        assert (est.n_hat, kernel_calls) == (n_hat, loads)
+        values = _log_posterior_array(np.arange(est.k_min, est.k_max + 1), L, E, S, C, M)
+        assert est.n_hat == est.k_min + int(values.argmax())
+
     def test_lockstep_rounds_are_cut_at_the_caps_of_the_rows_left(self, kernel_calls):
         # the first frame peaks in its first window; the second rises out of
-        # its second window into 515, one probe round narrows [515, 1320]
-        # (its cap 10 L M) to 25 candidates, and one window ends the search
+        # its second window into 515, whose differences bracket the mode in
+        # [515, 528] (its cap 10 L M is 1320), and one window over it and
+        # one past 528 ends the search
         mpr = MprOrder(2)
         frames = [EXAMPLE, FrameObservation(L=66, E=0, S=1, C=65, identified=2)]
         estimates = []
-        for obs, loads in zip(frames, ([64], [64, 256, 64, 25])):
+        for obs, loads in zip(frames, ([64], [64, 256, 15])):
             del kernel_calls[:]
             estimates.append(map_estimate(obs, mpr))
             assert kernel_calls == loads
@@ -386,7 +475,7 @@ class TestWindowSearch:
         estimator._runs.clear()
         del kernel_calls[:]
         assert population_estimates(frames, mpr) == estimates
-        assert kernel_calls == [2 * 64, 256, 64, 25]
+        assert kernel_calls == [2 * 64, 256, 15]
 
     @pytest.mark.parametrize("L, E, S, C, M, n_hat", _FAR_MODES)
     def test_far_modes_are_found_by_probe_rounds(self, kernel_calls, L, E, S, C, M, n_hat):
@@ -394,7 +483,8 @@ class TestWindowSearch:
         obs, mpr = FrameObservation(L, E, S, C, S), MprOrder(M)
         assert map_estimate(obs, mpr).n_hat == n_hat
         loads = list(kernel_calls)
-        assert loads[:3] == [64, 256, 64] and max(loads) <= 256
+        # the first probe round holds a pair on its unproved bracket top
+        assert loads[:3] == [64, 256, 66] and max(loads) <= 256
         estimator._memo.clear()
         estimator._runs.clear()
         del kernel_calls[:]
@@ -405,7 +495,7 @@ class TestWindowSearch:
         # the window regrowth evaluated [64, 256, 1024, 4096, 16384], each
         # candidate at O(M) cost
         assert map_estimate(FrameObservation(10, 1, 3, 6, 3), MprOrder(3000)).n_hat == 25773
-        assert kernel_calls == [64, 256, 64, 64, 64, 8]
+        assert kernel_calls == [64, 256, 66, 64, 15]
 
     @pytest.mark.parametrize("L", [10**18, 2**63 - 1])
     def test_a_search_cap_past_int64_is_refused(self, kernel_calls, L):
@@ -517,10 +607,6 @@ class TestMemo:
         assert warm == cold * 2
 
 
-def _same_bits(rows, expected):
-    return all(a.tobytes() == b.tobytes() for a, b in zip(rows, expected, strict=True))
-
-
 _window_rows = estimator._window_rows
 
 
@@ -528,13 +614,13 @@ def _checked_window_rows(ks, L, M):
     """``_window_rows``, checked bit for bit against a kernel call at the
     same candidates, with the runs checked after it."""
     rows = _window_rows(ks, L, M)
-    assert _same_bits(rows, log_slot_probabilities(ks / L, M))
+    assert same_bits(rows, log_slot_probabilities(ks / L, M))
     held = 0
     for (L, M), (k0, log_s, log_c) in estimator._runs.items():
         held += log_s.size
         # a run owns its rows, and holds no row of log p_e
         assert log_s.base is None and log_c.base is None
-        assert _same_bits((log_s, log_c), log_slot_probabilities(
+        assert same_bits((log_s, log_c), log_slot_probabilities(
             np.arange(k0, k0 + log_s.size) / L, M)[1:])
     assert estimator._runs.size == held <= estimator._RUN_SIZE
     return rows
@@ -647,20 +733,21 @@ class TestRuns:
         estimator._runs.clear()
         del kernel_calls[:], searches[:]
         _run_cell((("fsa", 600, 2, 128), 20, 1))
-        assert (len(kernel_calls), len(searches)) == (4, 20) and not estimator._runs
+        assert (len(kernel_calls), len(searches)) == (3, 20) and not estimator._runs
         # nor does a direct call
         map_estimate(EXAMPLE, MprOrder(2))
-        assert len(kernel_calls) == 5 and not estimator._runs
+        assert len(kernel_calls) == 4 and not estimator._runs
 
     def test_the_dfsa_grid_makes_a_pinned_number_of_kernel_calls(self, kernel_calls):
         # the DFSA half of the 20-trial paper grid at seed 1, its cells in one
         # process in key order, from empty caches. Runs of at most 2^16
         # candidates without margins made 2,941 calls over 137,997 loads, and
-        # without margins at 2^18, 2,661 calls
+        # without margins at 2^18, 2,661 calls; with margins and the probe
+        # bracket [a, k_max], 1,605 calls over 146,068 loads
         for n in range(100, 1001, 100):
             for M in range(1, 5):
                 _run_cell((("dfsa", n, M, 128), 20, 1))
-        assert (len(kernel_calls), sum(kernel_calls)) == (1605, 146068)
+        assert (len(kernel_calls), sum(kernel_calls)) == (1525, 142687)
 
 
 @st.composite

@@ -115,3 +115,20 @@ def test_optimal_length_monotone_in_mpr_order():
     for n in (10, 100, 1000):
         lengths = [optimal_frame_length(n, MprOrder(M)).length for M in range(1, 9)]
         assert lengths == sorted(lengths, reverse=True)
+
+
+def _uncached_plan(n, M):
+    """The length and raw optimum by the formula, its constants built anew."""
+    scale = math.exp(-math.lgamma(M + 1) / M)
+    num, den = scale.as_integer_ratio()
+    return max(1, (2 * n * num + den) // (2 * den)), n * scale
+
+
+@pytest.mark.parametrize("M", [*range(1, 9), 100])
+@pytest.mark.parametrize("n", [0, 1, 7, 500, 10**6, 10**30])
+def test_per_order_constants_give_the_formulas_plan(n, M):
+    # the scale and its ratio are kept per M; the plan must not move a bit
+    plan = optimal_frame_length(n, MprOrder(M))
+    assert (plan.length, plan.raw_optimum) == _uncached_plan(n, M)
+    assert type(plan.length) is int
+    assert next_frame_length(n + 3, 3, MprOrder(M)) == plan

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import binomial_occupancy
+from conftest import binomial_occupancy, same_bits
 from dfsa_mpr import estimator, prob_model
 from dfsa_mpr.estimator import FrameObservation, map_estimate, population_estimates, posterior_curve
 from dfsa_mpr.harness import efficiency_curve, optimal_length_table
@@ -185,6 +185,71 @@ def test_blocks_hold_two_loads_at_a_large_mpr_order(monkeypatch):
     whole = np.array(log_slot_probabilities(x, M))
     assert widths == [2] * 32
     assert np.array_equal(whole, alone)
+
+
+def _frozen_log_collided_series(x, k):
+    if x.size == 1:
+        return _frozen_log_collided_series(np.repeat(x, 2), k)[:1]
+    M = k.M
+    powers = k.tail_powers * np.log(x / (M + 1))
+    np.exp(powers, out=powers)
+    series = np.einsum("i,ij->j", k.tail_weights, powers)
+    return (M + 1) * np.log(x) - k.log_first_tail + np.log1p(series) - x
+
+
+def _frozen_log_slot_block(x, k, out):
+    if x.size == 1:
+        pair = np.empty((3, 2))
+        _frozen_log_slot_block(np.repeat(x, 2), k, pair)
+        out[:] = pair[:, :1]
+        return
+    log_e, log_s, log_c = out
+    np.negative(x, out=log_e)
+    terms = k.j * np.log(x) - k.log_factorials
+    shift = np.maximum(terms.max(axis=0), np.finfo(float).min)
+    terms -= shift
+    np.add(log_e, shift, out=log_s)
+    log_s += np.log(np.exp(terms, out=terms).sum(axis=0))
+    low = x < k.M + 1
+    if low.all():
+        log_c[:] = _frozen_log_collided_series(x, k)
+        return
+    high = ~low
+    log_c[high] = np.log1p(-np.exp(np.logaddexp(log_e[high], log_s[high])))
+    if low.any():
+        log_c[low] = _frozen_log_collided_series(x[low], k)
+
+
+def frozen_log_slot_probabilities(x, M):
+    """The kernel in an earlier formulation, kept as the reference for its
+    bits: log x taken in each term, a log-sum-exp of M rows at every M, the
+    collided term built in temporaries, and a mask on every block."""
+    k = prob_model._kernel_constants(M)
+    flat = np.asarray(x, dtype=float).ravel()
+    out = np.empty((3, flat.size))
+    block = max(2, prob_model._BLOCK_ENTRIES // (M + 1))
+    with np.errstate(divide="ignore"):
+        for start in range(0, flat.size, block):
+            _frozen_log_slot_block(flat[start:start + block], k, out[:, start:start + block])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("M", [*range(1, 10), 17, 100, 1000])
+def test_kernel_keeps_the_bits_of_its_frozen_reference(M):
+    # the same machine runs both sides, so this holds on any CPU
+    rng = np.random.default_rng(M)
+    block = max(2, prob_model._BLOCK_ENTRIES // (M + 1))
+    for size in (1, 2, 3, 64, 257, block + 1):
+        loads = [
+            rng.uniform(0.0, 3.0 * (M + 1), size),  # mixed blocks, mostly
+            rng.uniform(0.0, M + 1, size),  # every load below M + 1
+            rng.uniform(M + 1, 3.0 * (M + 1), size),  # none below it
+        ]
+        with_zeros = rng.uniform(0.0, 3.0 * (M + 1), size)
+        with_zeros[::5] = 0.0
+        loads += [with_zeros, np.zeros(size), np.full(size, float(M + 1))]
+        for x in loads:
+            assert same_bits(log_slot_probabilities(x, M), frozen_log_slot_probabilities(x, M))
 
 
 @pytest.mark.parametrize("M", [170, 171, 200, 400])
