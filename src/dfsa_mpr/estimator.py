@@ -144,6 +144,9 @@ from .prob_model import (
 _WINDOWS = (64, 256)
 _PROBE_PAIRS = 32
 
+#: the offsets of a probe pair (p, p + 1) from its probe p
+_PAIR = np.array([0, 1])
+
 #: the first probe bracket of a far mode reaches ``_REACH`` times the distance
 #: at which the 256-candidate window's first differences, falling at their
 #: rate over its last ``_SPAN`` candidates, reach zero. Kernel calls on the
@@ -355,7 +358,7 @@ def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
             j = np.arange(1, _PROBE_PAIRS + 1 + (top < hi))
             step, rest = divmod(top - lo, _PROBE_PAIRS + 1)
             probes = lo + j * step + j * rest // (_PROBE_PAIRS + 1)
-            values = yield np.stack((probes, probes + 1), axis=1).ravel()
+            values = yield (probes[:, None] + _PAIR).ravel()
             down = values[1::2] <= values[::2]
             i = int(down.argmax())
             if down[i]:
@@ -405,11 +408,12 @@ def _search_rows(keys: list[_MemoKey]) -> list[int]:
     """The searches of at most ``_BATCH_ROWS`` keys of one M in lockstep: each
     round evaluates every unresolved key's candidates in one kernel call.
 
-    A round pads each key's candidates to the round's widest with its last
-    candidate, and each search is sent its own values only. Every key has a
-    collided slot, so its candidates are at least M+1, where every
-    log-probability is finite. A class with no slots then adds a zero, and
-    each row's values are exactly ``_log_posterior_array``'s.
+    A round fills one int64 block with each key's candidates, padded to the
+    round's widest with its last candidate, and each search is sent its own
+    values only. Every key has a collided slot, so its candidates are at
+    least M+1, where every log-probability is finite. A class with no slots
+    then adds a zero, and each row's values are exactly
+    ``_log_posterior_array``'s.
     """
     M = keys[0][4]
     modes = [0] * len(keys)
@@ -422,8 +426,11 @@ def _search_rows(keys: list[_MemoKey]) -> list[int]:
     L, E, S, C = np.array([key[:4] for key in keys]).T
     while live:
         width = max(ks.size for _, _, ks in live)
-        block = np.stack([ks if ks.size == width else np.pad(ks, (0, width - ks.size), "edge")
-                          for _, _, ks in live])
+        block = np.empty((len(live), width), dtype=np.int64)
+        for i, (_, _, ks) in enumerate(live):
+            block[i, :ks.size] = ks
+            if ks.size < width:
+                block[i, ks.size:] = ks[-1]
         r = np.array([[row] for row, _, _ in live])
         log_e, log_s, log_c = log_slot_probabilities(block / L[r], M)
         values = E[r] * log_e + S[r] * log_s + C[r] * log_c

@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 from .prob_model import MprOrder, require_count
 
@@ -31,6 +32,11 @@ def _length_scale(M: int) -> tuple[float, int, int]:
     return (scale, *scale.as_integer_ratio())
 
 
+def _rounded_length(n: int, num: int, den: int) -> int:
+    """n * num / den rounded half-up in exact integers, and floored at 1."""
+    return (2 * n * num + den) // (2 * den) or 1
+
+
 def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
     """Efficiency-maximizing frame length for n contending tags.
 
@@ -46,7 +52,17 @@ def optimal_frame_length(n: int, mpr: MprOrder) -> FramePlan:
         raw = n * scale
     except OverflowError:
         raise ValueError("tag count is too large to convert to a float") from None
-    return FramePlan(length=max(1, (2 * n * num + den) // (2 * den)), raw_optimum=raw)
+    return FramePlan(length=_rounded_length(n, num, den), raw_optimum=raw)
+
+
+def optimal_frame_lengths(counts: Iterable[int], mpr: MprOrder) -> tuple[list[int], list[float]]:
+    """The lengths and raw optima of ``optimal_frame_length`` for many tag
+    counts in one pass, each an integer >= 0 that is not checked here;
+    OverflowError for a count too large to convert to a float."""
+    counts = list(map(operator.index, counts))
+    scale, num, den = _length_scale(mpr.M)
+    return ([_rounded_length(n, num, den) for n in counts],
+            [n * scale for n in counts])
 
 
 def next_frame_length(estimate: int, identified: int, mpr: MprOrder) -> FramePlan:

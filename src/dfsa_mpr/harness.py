@@ -18,13 +18,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice, repeat, zip_longest
+from operator import truediv
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .estimator import FrameObservation, population_estimates
-from .frame_optimizer import optimal_frame_length
+from .frame_optimizer import optimal_frame_length, optimal_frame_lengths
 from .prob_model import (
     MprOrder,
     channel_efficiency,
@@ -268,13 +269,11 @@ def optimal_length_lines(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -
     def rows_of(chunk: Sequence[int]) -> list[tuple]:
         columns = []
         for mpr in mprs:
-            plans = [optimal_frame_length(n, mpr) for n in chunk]
-            loads = [n / plan.length for n, plan in zip(chunk, plans)]
-            column = zip(chunk, plans, channel_efficiency(loads, mpr.M).tolist())
-            columns.append([(n, mpr.M, plan.raw_optimum, plan.length, eff)
-                            for n, plan, eff in column])
+            lengths, raws = optimal_frame_lengths(chunk, mpr)
+            efficiencies = channel_efficiency(list(map(truediv, chunk, lengths)), mpr.M)
+            columns.append(zip(chunk, repeat(mpr.M), raws, lengths, efficiencies.tolist()))
         # rows run over n, and over M within each n
-        return [row for same_n in zip(*columns) for row in same_n]
+        return list(chain.from_iterable(zip(*columns)))
 
     return csv_lines(["n", "M", "raw_optimum", "length", "efficiency"],
                      _chunked_rows(tag_counts, rows_of))

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import verify_stationarity
-from dfsa_mpr.frame_optimizer import next_frame_length, optimal_frame_length
+from dfsa_mpr.frame_optimizer import (
+    next_frame_length,
+    optimal_frame_length,
+    optimal_frame_lengths,
+)
 from dfsa_mpr.prob_model import MprOrder, channel_efficiency
 
 
@@ -132,3 +136,16 @@ def test_per_order_constants_give_the_formulas_plan(n, M):
     assert (plan.length, plan.raw_optimum) == _uncached_plan(n, M)
     assert type(plan.length) is int
     assert next_frame_length(n + 3, 3, MprOrder(M)) == plan
+
+
+@pytest.mark.parametrize("M", [*range(1, 9), 100])
+def test_many_counts_give_each_counts_plan(M):
+    counts = [0, 1, 7, 500, 10**6, 10**30, np.int64(2**62), np.int64(3)]
+    lengths, raws = optimal_frame_lengths(counts, MprOrder(M))
+    plans = [optimal_frame_length(n, MprOrder(M)) for n in counts]
+    assert lengths == [plan.length for plan in plans]
+    assert raws == [plan.raw_optimum for plan in plans]
+    assert all(type(length) is int for length in lengths)
+    assert optimal_frame_lengths(range(0), MprOrder(M)) == ([], [])
+    with pytest.raises(OverflowError):
+        optimal_frame_lengths([5, 10**400], MprOrder(M))

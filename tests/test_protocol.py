@@ -110,12 +110,16 @@ def frames_of_slot_choices(draw):
 @given(frames_of_slot_choices(), st.booleans())
 @example((np.empty(0, dtype=np.int64), 5, 1), False)
 @example((np.empty(0, dtype=np.int64), 5, 4), True)
+# at M = 1: every slot empty, every slot collided, and one tag in every slot
+@example((np.empty(0, dtype=np.int64), 7, 1), True)
+@example((np.repeat(np.arange(4), 2), 4, 1), False)
+@example((np.arange(6), 6, 1), False)
 def test_occupancy_tally_matches_the_mask_tally(frame, numpy_ints):
     slots, L, M = frame
     expected = _mask_tally(slots, L, M)
     if numpy_ints:
         L, M = np.int64(L), np.int64(M)
-    assert FrameObservation(*_tally(slots, L, MprOrder(M))) == expected
+    assert FrameObservation(*_tally(slots, L, M)) == expected
 
 
 def _frame_by_frame(config, rng):
@@ -134,10 +138,14 @@ def _frame_by_frame(config, rng):
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
-@pytest.mark.parametrize("L0,n", [(3, 12), (100, 700), (127, 1000), (128, 1000), (1000, 3000)])
+@pytest.mark.parametrize("L0,n", [(3, 12), (100, 700), (127, 1000), (128, 1000), (1000, 3000),
+                                  (16, 0), (128, 5), (16384, 20000)])
 def test_fsa_block_draws_give_the_per_frame_stream(L0, n, M):
     # the longest of these runs draws several blocks, so a block boundary
-    # falls inside a frame and the unused tail carries over
+    # falls inside a frame and the unused tail carries over. The first block
+    # runs ahead by the first frame's tags, up to 2^14: with no tags nothing
+    # is drawn, a run of one frame (128, 5) draws only that block, and at
+    # 20,000 tags it runs ahead by the cap
     config = ProtocolConfig(n=n, mpr=MprOrder(M), initial_frame_length=L0, variant=Variant.FSA)
     for seed in (0, 1):
         expected = _frame_by_frame(config, np.random.default_rng(seed))
