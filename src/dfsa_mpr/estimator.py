@@ -77,22 +77,19 @@ bracket [a, k_max]; from [a, a + 3 D], 100 take three, 741 four and 108
 five.
 
 Every candidate is held in int64, so a frame that needs a search and whose
-k_max exceeds 2^63 - 1 raises ValueError before any kernel call. A
+k_max exceeds 2^63 - 1 raises ValueError before any kernel call, and so
+does a batch that holds one, before its first search. A
 candidate costs O(M): the kernel itself refuses an M past
 ``prob_model.KERNEL_M_MAX`` before any O(M) work, and a ``posterior_curve``
 whose candidates times M pass ``prob_model``'s curve budget raises
 ValueError before any kernel call.
 
 This rule lives in one generator, ``_window_search``, which yields each
-round's candidates and is sent their values, and two drivers step it.
-``map_estimate`` evaluates one frame's rounds one kernel call each.
-``population_estimates`` steps the searches of many frames of one M in
-lockstep, in chunks of at most 1,024 frames: each round of a chunk
-evaluates the candidates of every frame still unresolved in one kernel
-call, over a 2-D array. Each kernel value depends on its own load only, so
-both give the same answers bit for bit. Both return ``MapEstimate``
-records, with k_min, k_max and ``saturated``, so no caller computes the
-bounds, and ``population_estimates`` counts a collision-free frame exactly.
+round's candidates and is sent their values, and one loop steps it, one
+kernel call per round, for ``map_estimate`` and each frame of
+``population_estimates`` alike. Both return ``MapEstimate`` records, with
+k_min, k_max and ``saturated``, so no caller computes the bounds, and
+``population_estimates`` counts a collision-free frame exactly.
 
 Answers are remembered per process in one memo that ``map_estimate`` and
 ``population_estimates`` share: up to 16,384 keys (L, E, S, C, M, k_min,
@@ -100,10 +97,12 @@ k_max), and emptied when full. ``identified`` enters the key only through
 k_min, and k_max follows from L and M. An all-collided frame needs no
 search and is not stored.
 
-Kernel rows are kept too, for the searches of a DFSA run alone
-(``map_estimate(..., keep_rows=True)``, as ``protocol`` calls it), since a
-run searches frames of the same length again and again while a batch of
-unrelated frames rarely does. Each (L, M) keeps one run: the rows log p_s
+Kernel rows are kept too, where frames share their length: a DFSA run
+(``map_estimate(..., keep_rows=True)``, as ``protocol`` calls it) searches
+frames of the same length again and again, and ``population_estimates``
+keeps them for its batch, in which the harness passes one cell's first
+frames. A direct ``map_estimate`` call keeps none, since unrelated frames
+rarely share a length. Each (L, M) keeps one run: the rows log p_s
 and log p_c over consecutive candidates (log p_e is -k/L and is not kept).
 Each of a search's two windows from k_min that lies inside the run is
 sliced from it with no kernel call. One that overlaps or touches the run
@@ -126,7 +125,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Optional
+from typing import Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -162,10 +161,6 @@ _REACH = 3.0
 #: the largest int64, which numpy holds candidates and slots in: it bounds
 #: the search cap here and the initial frame length in ``protocol``
 _INT64_MAX = 2**63 - 1
-
-#: keys that one lockstep search steps together, so that no round holds
-#: more than this many rows of at most ``_WINDOWS[-1]`` candidates
-_BATCH_ROWS = 1024
 
 #: what a posterior mode depends on, with its search bounds: (L, E, S, C, M, k_min, k_max)
 _MemoKey = tuple[int, int, int, int, int, int, int]
@@ -338,8 +333,7 @@ def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
     first argmax over [lo, hi] of a function concave on the integers.
     Raises ValueError if hi does not fit in int64.
     """
-    if hi > _INT64_MAX:
-        raise ValueError(f"the search cap 10*L*M = {hi} exceeds 2**63 - 1")
+    _require_int64_cap(hi)
     for width in _WINDOWS:
         size = min(width, hi - lo + 1)
         values = yield np.arange(lo, lo + size)
@@ -388,62 +382,37 @@ def _bracket_top(window: np.ndarray, lo: int, hi: int) -> int:
     return hi
 
 
-def _mode_without_search(key: _MemoKey) -> Optional[int]:
-    """The posterior mode where no search is needed, else None: the cap for
-    an all-collided frame, or the memo's answer."""
+def _require_int64_cap(k_max: int) -> None:
+    """Raises ValueError unless a search up to k_max holds its candidates in int64."""
+    if k_max > _INT64_MAX:
+        raise ValueError(f"the search cap 10*L*M = {k_max} exceeds 2**63 - 1")
+
+
+def _mode(key: _MemoKey, keep_rows: bool) -> int:
+    """The posterior mode of a key: the cap for an all-collided frame, else
+    the memo's answer, else a search's, which the memo keeps. With
+    ``keep_rows`` the search's windows are served from and kept in the
+    kernel rows of (L, M)."""
     L, E, S, C, M, k_min, k_max = key
     # P(X > M)^L rises strictly in k when every slot collided: the argmax is the cap
     if C == L:
         return k_max
-    return _memo.get(key)
-
-
-def _remember(key: _MemoKey, mode: int) -> None:
-    if len(_memo) >= _MEMO_SIZE:
-        _memo.clear()
-    _memo[key] = mode
-
-
-def _search_rows(keys: list[_MemoKey]) -> list[int]:
-    """The searches of at most ``_BATCH_ROWS`` keys of one M in lockstep: each
-    round evaluates every unresolved key's candidates in one kernel call.
-
-    A round fills one int64 block with each key's candidates, padded to the
-    round's widest with its last candidate, and each search is sent its own
-    values only. Every key has a collided slot, so its candidates are at
-    least M+1, where every log-probability is finite. A class with no slots
-    then adds a zero, and each row's values are exactly
-    ``_log_posterior_array``'s.
-    """
-    M = keys[0][4]
-    modes = [0] * len(keys)
-    # (row, its search, its candidates) for every key still unresolved, in
-    # key order; the caps are Python ints, checked before any numpy array
-    live = []
-    for row, (*_, k_min, k_max) in enumerate(keys):
+    mode = _memo.get(key)
+    if mode is None:
         search = _window_search(k_min, k_max)
-        live.append((row, search, next(search)))
-    L, E, S, C = np.array([key[:4] for key in keys]).T
-    while live:
-        width = max(ks.size for _, _, ks in live)
-        block = np.empty((len(live), width), dtype=np.int64)
-        for i, (_, _, ks) in enumerate(live):
-            block[i, :ks.size] = ks
-            if ks.size < width:
-                block[i, ks.size:] = ks[-1]
-        r = np.array([[row] for row, _, _ in live])
-        log_e, log_s, log_c = log_slot_probabilities(block / L[r], M)
-        values = E[r] * log_e + S[r] * log_s + C[r] * log_c
-        unresolved = []
-        for (row, search, ks), row_values in zip(live, values):
-            try:
-                unresolved.append((row, search, search.send(row_values[: ks.size])))
-            except StopIteration as done:
-                modes[row] = done.value
-        live = unresolved
-    for key, mode in zip(keys, modes):
-        _remember(key, mode)
-    return modes
+        ks = next(search)
+        try:
+            if keep_rows:
+                for _ in _WINDOWS:  # the windows of consecutive candidates from k_min
+                    ks = search.send(_log_posterior_array(ks, L, E, S, C, M, _window_rows(ks, L, M)))
+            while True:
+                ks = search.send(_log_posterior_array(ks, L, E, S, C, M))
+        except StopIteration as done:
+            mode = done.value
+        if len(_memo) >= _MEMO_SIZE:
+            _memo.clear()
+        _memo[key] = mode
+    return mode
 
 
 def map_estimate(obs: FrameObservation, mpr: MprOrder, *, keep_rows: bool = False) -> MapEstimate:
@@ -458,21 +427,7 @@ def map_estimate(obs: FrameObservation, mpr: MprOrder, *, keep_rows: bool = Fals
     and so does the kernel at an M past ``KERNEL_M_MAX``.
     """
     key = _frame_key(obs, mpr)
-    L, E, S, C, M, k_min, k_max = key
-    n_hat = _mode_without_search(key)
-    if n_hat is None:
-        search = _window_search(k_min, k_max)
-        ks = next(search)
-        try:
-            if keep_rows:
-                for _ in _WINDOWS:  # the windows of consecutive candidates from k_min
-                    ks = search.send(_log_posterior_array(ks, L, E, S, C, M, _window_rows(ks, L, M)))
-            while True:
-                ks = search.send(_log_posterior_array(ks, L, E, S, C, M))
-        except StopIteration as done:
-            n_hat = done.value
-        _remember(key, n_hat)
-    return MapEstimate(n_hat, k_min, k_max)
+    return MapEstimate(_mode(key, keep_rows), *key[5:])
 
 
 def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> list[MapEstimate]:
@@ -481,21 +436,22 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
     A frame with no collided slot decoded every tag that replied, so its
     estimate is ``MapEstimate(identified, identified, 10*L*M)``, which is
     never ``saturated``; any other frame's is ``map_estimate(obs, mpr)``.
-    Frames with the same key share one answer, remembered answers are
-    reused, and the rest are searched together. A frame that needs a search
-    and whose cap 10*L*M exceeds 2**63 - 1 raises ValueError, and so does
-    the kernel when a search is at an M past ``KERNEL_M_MAX``.
+    Frames with the same key share one answer, and each key the memo lacks
+    is searched in turn keeping kernel rows, since a batch's frames, such as
+    a cell's first frames, share their length. A frame that needs a search
+    and whose cap 10*L*M exceeds 2**63 - 1 raises ValueError before any
+    search, and the kernel raises when a search is at an M past
+    ``KERNEL_M_MAX``.
     """
     keys = [_frame_key(obs, mpr) for obs in frames]
-    modes = {}
-    for key in dict.fromkeys(keys):
-        L, E, S, C, M, k_min, k_max = key
+    modes = dict.fromkeys(keys)
+    # a batch that cannot finish is refused before its first kernel call
+    for L, E, S, C, M, k_min, k_max in modes:
+        if 0 < C < L:
+            _require_int64_cap(k_max)
+    for key in modes:
         # without collisions, k_min is identified itself
-        modes[key] = _mode_without_search(key) if C else k_min
-    misses = [key for key, mode in modes.items() if mode is None]
-    for start in range(0, len(misses), _BATCH_ROWS):
-        chunk = misses[start:start + _BATCH_ROWS]
-        modes.update(zip(chunk, _search_rows(chunk)))
+        modes[key] = _mode(key, keep_rows=True) if key[3] else key[5]
     return [MapEstimate(modes[key], *key[5:]) for key in keys]
 
 

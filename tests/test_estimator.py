@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_map, same_bits, trinomial_log_posterior
@@ -474,8 +474,11 @@ class TestWindowSearch:
         estimator._memo.clear()
         estimator._runs.clear()
         del kernel_calls[:]
+        # the batch searches each frame in turn, keeping rows: each first
+        # window with 16 candidates on each side, then the candidates of the
+        # second window that the run lacks and 16 past it, then the last window
         assert population_estimates(frames, mpr) == estimates
-        assert kernel_calls == [2 * 64, 256, 15]
+        assert kernel_calls == [16 + 64 + 16, 16 + 64 + 16, 255, 15]
 
     @pytest.mark.parametrize("L, E, S, C, M, n_hat", _FAR_MODES)
     def test_far_modes_are_found_by_probe_rounds(self, kernel_calls, L, E, S, C, M, n_hat):
@@ -489,7 +492,8 @@ class TestWindowSearch:
         estimator._runs.clear()
         del kernel_calls[:]
         assert [e.n_hat for e in population_estimates([obs], mpr)] == [n_hat]
-        assert kernel_calls == loads
+        # a batch keeps rows: its two windows gain their margins of 16
+        assert kernel_calls == [16 + 64 + 16, 255] + loads[2:]
 
     def test_large_mpr_order_is_bounded_by_the_probe_rounds(self, kernel_calls):
         # the window regrowth evaluated [64, 256, 1024, 4096, 16384], each
@@ -727,27 +731,33 @@ class TestRuns:
         # a DFSA run searches frames of lengths it has searched before
         _run_cell((("dfsa", 600, 2, 128), 20, 1))
         assert 0 < len(kernel_calls) < len(searches)
-        # an FSA cell searches its first frames in lockstep, one kernel call
-        # per round, as it did before rows were kept, and keeps none
+        # an FSA cell's batch of first frames keeps the rows of their length
         estimator._memo.clear()
         estimator._runs.clear()
         del kernel_calls[:], searches[:]
         _run_cell((("fsa", 600, 2, 128), 20, 1))
-        assert (len(kernel_calls), len(searches)) == (3, 20) and not estimator._runs
-        # nor does a direct call
+        assert (len(kernel_calls), len(searches)) == (3, 20)
+        assert set(estimator._runs) == {(128, 2)}
+        # a direct call keeps none
         map_estimate(EXAMPLE, MprOrder(2))
-        assert len(kernel_calls) == 4 and not estimator._runs
+        assert len(kernel_calls) == 4 and set(estimator._runs) == {(128, 2)}
 
-    def test_the_dfsa_grid_makes_a_pinned_number_of_kernel_calls(self, kernel_calls):
-        # the DFSA half of the 20-trial paper grid at seed 1, its cells in one
-        # process in key order, from empty caches. Runs of at most 2^16
-        # candidates without margins made 2,941 calls over 137,997 loads, and
-        # without margins at 2^18, 2,661 calls; with margins and the probe
-        # bracket [a, k_max], 1,605 calls over 146,068 loads
+    @pytest.mark.parametrize("variant, calls, loads", [
+        pytest.param("dfsa", 1525, 142687, id="dfsa"),
+        pytest.param("fsa", 204, 16886, id="fsa"),
+    ])
+    def test_the_grid_makes_a_pinned_number_of_kernel_calls(self, kernel_calls, variant, calls, loads):
+        # each half of the 20-trial paper grid at seed 1, its cells in one
+        # process in key order, from empty caches. On the DFSA half, runs of
+        # at most 2^16 candidates without margins made 2,941 calls over
+        # 137,997 loads, and without margins at 2^18, 2,661 calls; with
+        # margins and the probe bracket [a, k_max], 1,605 calls over 146,068
+        # loads. The FSA half's first frames, searched without kept rows,
+        # made 1,192 calls over 155,496 loads
         for n in range(100, 1001, 100):
             for M in range(1, 5):
-                _run_cell((("dfsa", n, M, 128), 20, 1))
-        assert (len(kernel_calls), sum(kernel_calls)) == (1525, 142687)
+                _run_cell(((variant, n, M, 128), 20, 1))
+        assert (len(kernel_calls), sum(kernel_calls)) == (calls, loads)
 
 
 @st.composite
@@ -889,7 +899,10 @@ class TestPopulationEstimate:
         estimator._runs.clear()
         del kernel_calls[:]
         n_hats = population_estimates(frames, mpr)
-        assert len(kernel_calls) == max(windows) > 1
+        # the batch searches each of its two keys once, and the second finds
+        # both its windows in the rows that the first kept
+        assert kernel_calls == [16 + 64 + 16, 255, 66, 9, 66, 10]
+        assert len(kernel_calls) < len(set(searched)) * max(windows)
         # a DFSA run has already estimated its first frame: the batch searches nothing
         estimator._memo.clear()
         estimator._runs.clear()
@@ -929,22 +942,11 @@ def frame_batches(draw, mpr_orders=st.integers(1, 8)):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(frame_batches())
 def test_population_estimates_equal_map_estimate_and_brute_force(batch):
-    _check_population_estimates(*batch)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(batch=frame_batches(st.sampled_from([M for *_, M, _ in _FAR_MODES])))
-def test_population_estimates_split_into_one_row_kernel_calls(kernel_calls, batch):
-    # chunks of one key make each lockstep round one kernel call per row,
-    # among them a far-mode frame's probe rounds beside the final windows of others
+    # where M has a far mode, its probe rounds run beside the windows of the others
     M, frames = batch
-    [(L, E, S, C, _, n_hat)] = [far for far in _FAR_MODES if far[4] == M]
-    frames = frames + [FrameObservation(L, E, S, C, S)]
-    del kernel_calls[:]
-    with mock.patch.object(estimator, "_BATCH_ROWS", 1):
-        assert _check_population_estimates(M, frames)[-1].n_hat == n_hat
-    assert 0 < max(kernel_calls) <= estimator._WINDOWS[-1]
+    far = [(FrameObservation(L, E, S, C, S), n_hat) for L, E, S, C, M_, n_hat in _FAR_MODES if M_ == M]
+    estimates = _check_population_estimates(M, frames + [obs for obs, _ in far])
+    assert [e.n_hat for e in estimates[len(frames):]] == [n_hat for _, n_hat in far]
 
 
 def _check_population_estimates(M, frames):
