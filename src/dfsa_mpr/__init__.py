@@ -8,7 +8,6 @@ from .estimator import (
     posterior_curve,
 )
 from .frame_optimizer import (
-    FramePlan,
     next_frame_length,
     optimal_frame_length,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "AggregateMetrics",
     "ExperimentSpec",
     "FrameObservation",
-    "FramePlan",
     "InterrogationResult",
     "MapEstimate",
     "MprOrder",

@@ -25,9 +25,9 @@ import yaml
 from .estimator import FrameObservation, population_estimates, posterior_curve
 from .harness import (
     ExperimentSpec,
-    _joined_lines,
     csv_lines,
     efficiency_curve_lines,
+    joined_lines,
     optimal_length_lines,
     render_csv,
     render_json,
@@ -141,8 +141,8 @@ def _load_spec(args) -> ExperimentSpec:
 
 def _write(lines: Iterable[str], path: Optional[str]) -> None:
     """Write ``lines`` to ``path`` or stdout as they come, one write per
-    ``_joined_lines`` batch; OSError -> ValueError("cannot write output: ...")."""
-    batches = _joined_lines(lines)
+    ``joined_lines`` batch; OSError -> ValueError("cannot write output: ...")."""
+    batches = joined_lines(lines)
     if not path:
         sys.stdout.writelines(batches)
         return

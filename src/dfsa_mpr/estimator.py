@@ -86,23 +86,25 @@ ValueError before any kernel call.
 
 This rule lives in one generator, ``_window_search``, which yields each
 round's candidates and is sent their values, and one loop steps it, one
-kernel call per round, for ``map_estimate`` and each frame of
-``population_estimates`` alike. Both return ``MapEstimate`` records, with
-k_min, k_max and ``saturated``, so no caller computes the bounds, and
-``population_estimates`` counts a collision-free frame exactly.
+kernel call per round, for all three entries: ``map_estimate``, each frame
+of ``population_estimates``, and DFSA's ``tally_mode``, which takes a run's
+tally tuple and returns the mode alone, so that a DFSA frame builds no
+record. Only ``_frame_key`` computes the bounds. The first two return
+``MapEstimate`` records, with k_min, k_max and ``saturated``, so no caller
+computes them, and ``population_estimates`` counts a collision-free frame
+exactly.
 
-Answers are remembered per process in one memo that ``map_estimate`` and
-``population_estimates`` share: up to 16,384 keys (L, E, S, C, M, k_min,
-k_max), and emptied when full. ``identified`` enters the key only through
-k_min, and k_max follows from L and M. An all-collided frame needs no
-search and is not stored.
+Answers are remembered per process in one memo that all three entries
+share: up to 16,384 keys (L, E, S, C, M, k_min, k_max), and emptied when
+full. ``identified`` enters the key only through k_min, and k_max follows
+from L and M. An all-collided frame needs no search and is not stored.
 
 Kernel rows are kept too, where frames share their length: a DFSA run
-(``map_estimate(..., keep_rows=True)``, as ``protocol`` calls it) searches
-frames of the same length again and again, and ``population_estimates``
-keeps them for its batch, in which the harness passes one cell's first
-frames. A direct ``map_estimate`` call keeps none, since unrelated frames
-rarely share a length. Each (L, M) keeps one run: the rows log p_s
+(``tally_mode``, as ``protocol`` calls it) searches frames of the same
+length again and again, and ``population_estimates`` keeps them for its
+batch, in which the harness passes one cell's first frames. A
+``map_estimate`` call keeps none, since unrelated frames rarely share a
+length. Each (L, M) keeps one run: the rows log p_s
 and log p_c over consecutive candidates (log p_e is -k/L and is not kept).
 Each of a search's two windows from k_min that lies inside the run is
 sliced from it with no kernel call. One that overlaps or touches the run
@@ -160,7 +162,7 @@ _REACH = 3.0
 
 #: the largest int64, which numpy holds candidates and slots in: it bounds
 #: the search cap here and the initial frame length in ``protocol``
-_INT64_MAX = 2**63 - 1
+INT64_MAX = 2**63 - 1
 
 #: what a posterior mode depends on, with its search bounds: (L, E, S, C, M, k_min, k_max)
 _MemoKey = tuple[int, int, int, int, int, int, int]
@@ -314,16 +316,15 @@ def _window_rows(ks: np.ndarray, L: int, M: int) -> tuple[np.ndarray, ...]:
     return ks / -L, log_s[i:i + n], log_c[i:i + n]
 
 
-def _frame_key(obs: FrameObservation, mpr: MprOrder) -> _MemoKey:
-    """The frame's key, where its search bounds are computed: k_min, the
-    identified tags plus M+1 per collision (Vogt's lower bound at M = 1, which
-    next-frame sizing relies on), and k_max = 10*L*M. Raises ValueError unless
-    the decoded tags fit in the S slots at MPR order M (``FrameObservation``
-    checks every other rule)."""
-    M = mpr.M
-    if obs.identified > obs.S * M:
-        raise ValueError(f"{obs.identified} tags cannot fit in {obs.S} slots at MPR order {M}")
-    return (obs.L, obs.E, obs.S, obs.C, M, obs.identified + (M + 1) * obs.C, 10 * obs.L * M)
+def _frame_key(L: int, E: int, S: int, C: int, identified: int, M: int) -> _MemoKey:
+    """The key of a frame's tallies, where its search bounds are computed:
+    k_min, the identified tags plus M+1 per collision (Vogt's lower bound at
+    M = 1, which next-frame sizing relies on), and k_max = 10*L*M. Raises
+    ValueError unless the decoded tags fit in the S slots at MPR order M
+    (``FrameObservation`` checks every other rule)."""
+    if identified > S * M:
+        raise ValueError(f"{identified} tags cannot fit in {S} slots at MPR order {M}")
+    return (L, E, S, C, M, identified + (M + 1) * C, 10 * L * M)
 
 
 def _window_search(lo: int, hi: int) -> Generator[np.ndarray, np.ndarray, int]:
@@ -384,7 +385,7 @@ def _bracket_top(window: np.ndarray, lo: int, hi: int) -> int:
 
 def _require_int64_cap(k_max: int) -> None:
     """Raises ValueError unless a search up to k_max holds its candidates in int64."""
-    if k_max > _INT64_MAX:
+    if k_max > INT64_MAX:
         raise ValueError(f"the search cap 10*L*M = {k_max} exceeds 2**63 - 1")
 
 
@@ -415,19 +416,26 @@ def _mode(key: _MemoKey, keep_rows: bool) -> int:
     return mode
 
 
-def map_estimate(obs: FrameObservation, mpr: MprOrder, *, keep_rows: bool = False) -> MapEstimate:
+def map_estimate(obs: FrameObservation, mpr: MprOrder) -> MapEstimate:
     """Integer argmax of the posterior over [k_min, 10*L*M]; ties go to the smaller k.
 
     An all-collided frame gives the cap itself, and the estimate is
     ``saturated``. Answers are remembered in the memo that
-    ``population_estimates`` shares, keyed on the tallies, M and k_min. With
-    ``keep_rows``, windows are served from and kept in the kernel rows of
-    (L, M), which pays where lengths repeat, as in a DFSA run.
-    Any other frame whose cap 10*L*M exceeds 2**63 - 1 raises ValueError,
-    and so does the kernel at an M past ``KERNEL_M_MAX``.
+    ``population_estimates`` and ``tally_mode`` share, keyed on the tallies,
+    M and k_min; no kernel rows are kept, since unrelated frames rarely
+    share a length. Any other frame whose cap 10*L*M exceeds 2**63 - 1
+    raises ValueError, and so does the kernel at an M past ``KERNEL_M_MAX``.
     """
-    key = _frame_key(obs, mpr)
-    return MapEstimate(_mode(key, keep_rows), *key[5:])
+    key = _frame_key(obs.L, obs.E, obs.S, obs.C, obs.identified, mpr.M)
+    return MapEstimate(_mode(key, keep_rows=False), *key[5:])
+
+
+def tally_mode(tally: tuple[int, int, int, int, int], M: int) -> int:
+    """``map_estimate(FrameObservation(*tally), MprOrder(M)).n_hat`` with no
+    record built, for a run's tally (L, E, S, C, identified), which is not
+    checked beyond identified <= S*M. Searches keep the kernel rows of
+    (L, M), since a DFSA run searches the same lengths again and again."""
+    return _mode(_frame_key(*tally, M), keep_rows=True)
 
 
 def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> list[MapEstimate]:
@@ -443,7 +451,7 @@ def population_estimates(frames: Iterable[FrameObservation], mpr: MprOrder) -> l
     search, and the kernel raises when a search is at an M past
     ``KERNEL_M_MAX``.
     """
-    keys = [_frame_key(obs, mpr) for obs in frames]
+    keys = [_frame_key(obs.L, obs.E, obs.S, obs.C, obs.identified, mpr.M) for obs in frames]
     modes = dict.fromkeys(keys)
     # a batch that cannot finish is refused before its first kernel call
     for L, E, S, C, M, k_min, k_max in modes:
@@ -469,7 +477,7 @@ def posterior_curve(
     max-shifted, exponentiated and summed in place. The pairs are then built
     one chunk at a time as they are read.
     """
-    _frame_key(obs, mpr)  # checks the decoded tags against M
+    _frame_key(obs.L, obs.E, obs.S, obs.C, obs.identified, mpr.M)  # identified <= S*M
     if not isinstance(k_range, range) or not k_range or min(k_range[0], k_range[-1]) < 0:
         raise ValueError("k_range must be a non-empty range of candidates >= 0")
     # len() of a range fails past sys.maxsize

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .estimator import FrameObservation, population_estimates
-from .frame_optimizer import optimal_frame_length, optimal_frame_lengths
+from .frame_optimizer import optimal_frame_lengths
 from .prob_model import (
     MprOrder,
     channel_efficiency,
@@ -217,7 +217,7 @@ def csv_lines(columns: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
 _LINES_PER_JOIN = 4096
 
 
-def _joined_lines(lines: Iterable[str]) -> Iterator[str]:
+def joined_lines(lines: Iterable[str]) -> Iterator[str]:
     """``lines`` joined ``_LINES_PER_JOIN`` at a time, as they come."""
     lines = iter(lines)
     return iter(lambda: "".join(islice(lines, _LINES_PER_JOIN)), "")
@@ -225,7 +225,7 @@ def _joined_lines(lines: Iterable[str]) -> Iterator[str]:
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The text of ``csv_lines``."""
-    return "".join(_joined_lines(csv_lines(columns, rows)))
+    return "".join(joined_lines(csv_lines(columns, rows)))
 
 
 def render_csv(table: Mapping[CellKey, AggregateMetrics]) -> str:
@@ -264,7 +264,10 @@ def optimal_length_lines(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -
     for n in tag_counts:
         require_count("tag count", n, 0)
     if len(tag_counts) and mprs:
-        optimal_frame_length(max(tag_counts), mprs[0])  # a count too large for a float
+        try:
+            float(max(tag_counts))  # each row's raw optimum is a float
+        except OverflowError:
+            raise ValueError("tag count is too large to convert to a float") from None
 
     def rows_of(chunk: Sequence[int]) -> list[tuple]:
         columns = []
@@ -281,7 +284,7 @@ def optimal_length_lines(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -
 
 def optimal_length_table(tag_counts: Sequence[int], mpr_orders: Sequence[int]) -> str:
     """The text of ``optimal_length_lines``."""
-    return "".join(_joined_lines(optimal_length_lines(tag_counts, mpr_orders)))
+    return "".join(joined_lines(optimal_length_lines(tag_counts, mpr_orders)))
 
 
 def efficiency_curve_lines(
@@ -305,4 +308,4 @@ def efficiency_curve_lines(
 
 def efficiency_curve(n: int, mpr: MprOrder, max_length: Optional[int] = None) -> str:
     """The text of ``efficiency_curve_lines``."""
-    return "".join(_joined_lines(efficiency_curve_lines(n, mpr, max_length)))
+    return "".join(joined_lines(efficiency_curve_lines(n, mpr, max_length)))

@@ -10,8 +10,9 @@ collided slot, when every tag has been identified; a run that reaches
 ``FRAME_SAFETY_CAP`` frames first raises ``NonTerminationError``.
 
 A run's record is each frame's tallies, a tuple of ints, and the total slot
-count; a checked ``FrameObservation`` is built only where one is read. DFSA's
-estimate is used to size the next frame and is not kept.
+count; a checked ``FrameObservation`` is built only where one is read. DFSA
+sizes the next frame from the tallies alone, through ``tally_mode``, and
+does not keep the estimate.
 
 A frame's tallies are read off one histogram of slot occupancy. DFSA draws
 each frame's slot choices on their own. FSA, whose frame length never
@@ -33,7 +34,7 @@ from operator import mul
 
 import numpy as np
 
-from .estimator import _INT64_MAX, FrameObservation, map_estimate
+from .estimator import INT64_MAX, FrameObservation, tally_mode
 from .frame_optimizer import next_frame_length
 from .prob_model import MprOrder, require_count
 
@@ -67,7 +68,7 @@ class ProtocolConfig:
         if not isinstance(self.mpr, MprOrder):
             raise ValueError(f"mpr must be an MprOrder, got {self.mpr!r}")
         require_count("initial frame length", self.initial_frame_length, 1)
-        if self.initial_frame_length > _INT64_MAX:
+        if self.initial_frame_length > INT64_MAX:
             raise ValueError(
                 f"initial frame length must be < 2**63, got {self.initial_frame_length}"
             )
@@ -154,8 +155,7 @@ def run_interrogation(config: ProtocolConfig, rng: np.random.Generator) -> Inter
         if collided == 0:
             return InterrogationResult(tallies=tallies, total_slots=total_slots)
         if dfsa:
-            n_hat = map_estimate(FrameObservation(*tally), mpr, keep_rows=True).n_hat
-            frame_length = next_frame_length(n_hat, identified, mpr).length
+            frame_length = next_frame_length(tally_mode(tally, M), identified, mpr)
         if len(tallies) >= FRAME_SAFETY_CAP:
             raise NonTerminationError(
                 f"interrogation exceeded {FRAME_SAFETY_CAP} frames "

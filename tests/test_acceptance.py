@@ -127,7 +127,7 @@ def test_criterion_5_frame_length_optimality():
     for n in (50, 100, 500, 1000):
         for M in (1, 2, 3, 4):
             mpr = MprOrder(M)
-            length = optimal_frame_length(n, mpr).length
+            length = optimal_frame_length(n, mpr)
             u_star = channel_efficiency(n / length, M)
             margin = (u_star - channel_efficiency(n / np.arange(1, 4 * n + 1), M)).min()
             worst_margin = min(worst_margin, margin)

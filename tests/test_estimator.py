@@ -17,10 +17,11 @@ from dfsa_mpr.estimator import (
     map_estimate,
     population_estimates,
     posterior_curve,
+    tally_mode,
 )
 from dfsa_mpr.harness import _run_cell, _trial_rng
 from dfsa_mpr.prob_model import MprOrder, log_slot_probabilities
-from dfsa_mpr.protocol import run_frame
+from dfsa_mpr.protocol import _tally, run_frame
 
 # the worked example frame: 10 slots, 1 empty, 3 successful, 6 collided
 EXAMPLE = FrameObservation(L=10, E=1, S=3, C=6, identified=3)
@@ -783,22 +784,56 @@ def frames_on_shared_lengths(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(frames_on_shared_lengths(), st.sampled_from([estimator._WINDOWS[-1], 1024, 2**16]))
 def test_kept_rows_change_no_estimate(frames, cap):
-    # each frame alone with both caches empty, then all in order keeping
-    # rows, with only the memo emptied, so that each search meets the rows
-    # the others kept
+    # each frame alone with both caches empty, then all in order through
+    # DFSA's entry, which keeps rows, with only the memo emptied, so that
+    # each search meets the rows the others kept
     cold = []
     for obs, mpr in frames:
         estimator._memo.clear()
         estimator._runs.clear()
-        cold.append(map_estimate(obs, mpr))
+        cold.append(map_estimate(obs, mpr).n_hat)
     estimator._runs.clear()
     warm = []
     with mock.patch.object(estimator, "_window_rows", _checked_window_rows), \
             mock.patch.object(estimator, "_RUN_SIZE", cap):
         for obs, mpr in frames:
             estimator._memo.clear()
-            warm.append(map_estimate(obs, mpr, keep_rows=True))
+            warm.append(tally_mode((obs.L, obs.E, obs.S, obs.C, obs.identified), mpr.M))
     assert warm == cold
+
+
+@st.composite
+def tallies_of_slot_choices(draw):
+    """(tally, M): the tallies ``protocol._tally`` counts from random slot
+    choices of fewer than 13 L tags, L <= 300 and M in 1..8. A quarter of
+    the frames also put M + 1 tags in every slot, so that every slot
+    collides."""
+    L, M = draw(st.integers(1, 300)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tags = draw(st.integers(0, 12)) * L + draw(st.integers(0, L - 1))
+    slots = rng.integers(0, L, size=tags)
+    if draw(st.integers(0, 3)) == 0:
+        slots = np.concatenate((slots, np.repeat(np.arange(L), M + 1)))
+    return _tally(slots, L, M), M
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tallies_of_slot_choices())
+def test_tally_mode_is_the_map_estimate_of_the_tallies(frame):
+    tally, M = frame
+    # with both caches empty, DFSA's entry searches keeping rows
+    estimator._memo.clear()
+    estimator._runs.clear()
+    with mock.patch.object(estimator, "_window_rows", _checked_window_rows):
+        mode = tally_mode(tally, M)
+    assert type(mode) is int
+    # a direct call, from an empty memo, keeps no rows and agrees
+    estimator._memo.clear()
+    assert mode == map_estimate(FrameObservation(*tally), MprOrder(M)).n_hat
+    # and so do the memo's answer and a search served from the kept rows
+    assert tally_mode(tally, M) == mode
+    estimator._memo.clear()
+    assert tally_mode(tally, M) == mode
 
 
 class TestPosteriorCurve:

@@ -173,8 +173,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("variant", [Variant.FSA, Variant.DFSA])
     def test_records_are_built_for_first_frames_and_estimates_only(self, monkeypatch, variant):
-        # a trial builds one record per collided DFSA frame, for the estimator,
-        # then one for its first frame; no other frame builds one
+        # a trial builds one record, for its first frame, which the cell's
+        # batch of first-frame estimates reads; DFSA sizes each frame from its
+        # tallies, so no other frame builds one
         spec = small_spec(tag_counts=[300], mpr_orders=[2], variants=[variant], trials=8)
         key = spec.cells()[0]
         _, n, m, l0 = key
@@ -186,8 +187,6 @@ class TestRunExperiment:
             rng = harness._trial_rng(spec.master_seed, key, trial)
             tallies = protocol.run_interrogation(config, rng).tallies
             assert len(tallies) > 1
-            if variant is Variant.DFSA:
-                expected += [tally for tally in tallies if tally[3] > 0]
             expected.append(tallies[0])
 
         built = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dfsa_mpr.protocol as protocol
 from conftest import binomial_occupancy
-from dfsa_mpr.estimator import FrameObservation, map_estimate
+from dfsa_mpr.estimator import FrameObservation, map_estimate, tally_mode
 from dfsa_mpr.frame_optimizer import next_frame_length
 from dfsa_mpr.prob_model import MprOrder
 from dfsa_mpr.protocol import (
@@ -134,7 +134,7 @@ def _frame_by_frame(config, rng):
             return frames
         if config.variant is Variant.DFSA:
             n_hat = map_estimate(obs, config.mpr).n_hat
-            L = next_frame_length(n_hat, obs.identified, config.mpr).length
+            L = next_frame_length(n_hat, obs.identified, config.mpr)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -235,23 +235,22 @@ def test_config_rejects_untyped_variant_or_mpr(field, value):
         ProtocolConfig(**kwargs)
 
 
-def _spy_on_map_estimate(monkeypatch) -> list[tuple[FrameObservation, int]]:
-    """Record each frame the protocol estimates, with the n_hat it got."""
+def _spy_on_tally_mode(monkeypatch) -> list[tuple[FrameObservation, int, int]]:
+    """Record each frame the protocol estimates, with the MPR order it
+    passed and the n_hat it got."""
     calls = []
 
-    def spy(obs, mpr, **kwargs):
-        # a DFSA run asks the estimator to keep kernel rows
-        assert kwargs == {"keep_rows": True}
-        estimate = map_estimate(obs, mpr, **kwargs)
-        calls.append((obs, estimate.n_hat))
-        return estimate
+    def spy(tally, M):
+        n_hat = tally_mode(tally, M)
+        calls.append((FrameObservation(*tally), M, n_hat))
+        return n_hat
 
-    monkeypatch.setattr(protocol, "map_estimate", spy)
+    monkeypatch.setattr(protocol, "tally_mode", spy)
     return calls
 
 
 def test_fsa_never_estimates_or_adapts(monkeypatch):
-    calls = _spy_on_map_estimate(monkeypatch)
+    calls = _spy_on_tally_mode(monkeypatch)
     config = ProtocolConfig(
         n=300, mpr=MprOrder(1), initial_frame_length=64, variant=Variant.FSA
     )
@@ -261,14 +260,15 @@ def test_fsa_never_estimates_or_adapts(monkeypatch):
 
 
 def test_dfsa_estimates_every_collided_frame(monkeypatch):
-    calls = _spy_on_map_estimate(monkeypatch)
+    calls = _spy_on_tally_mode(monkeypatch)
     config = ProtocolConfig(n=300, mpr=MprOrder(2), initial_frame_length=128)
     result = run_interrogation(config, np.random.default_rng(2))
     collided = [f for f in result.frames if f.C > 0]
     assert collided
-    assert [obs for obs, _ in calls] == collided
-    for obs, n_hat in calls:
-        assert n_hat >= obs.identified
+    assert [obs for obs, _, _ in calls] == collided
+    for obs, M, n_hat in calls:
+        assert M == 2
+        assert n_hat == map_estimate(obs, MprOrder(M)).n_hat >= obs.identified
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
